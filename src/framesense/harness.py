@@ -497,6 +497,10 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
     the MSE envelope of the greedy selection, with pass flags for the two
     certified inequalities. Instances whose subset count exceeds the
     enumeration guard are recorded as skipped, not errors.
+
+    The certified greedy always runs with ``normalize_rows=False``, the run
+    the gamma certificate covers; ``cfg.normalize_rows`` does not apply to
+    audits.
     """
     rows = []
     for family in cfg.family:
@@ -517,7 +521,7 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
                     continue
                 opts = PlacementOptions(
                     algorithm="framesense",
-                    normalize_rows=cfg.normalize_rows,
+                    normalize_rows=False,
                     seed=seed,
                     sigma2=cfg.sigma2,
                 )

@@ -39,12 +39,10 @@ RANK_RTOL = 1e-10
 UNBOUNDED = math.inf
 
 _MIN_ROW_NORM = 1e-12
-_JACOBI_RTOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 
 class ConvergenceError(RuntimeError):
-    """Eigenvalue iteration failed to reach its off-diagonal tolerance."""
+    """The LAPACK eigenvalue routine failed to converge."""
 
 
 class SensingMatrix:
@@ -230,72 +228,11 @@ def gram(psi, sel) -> GramMatrix:
     return GramMatrix(block.T @ block)
 
 
-def _jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi sweeps; returns eigenvalues sorted descending."""
-    a = np.array(a, dtype=np.float64)
-    k = a.shape[0]
-    if k == 1:
-        return a.diagonal().copy()
-    total = float(np.linalg.norm(a))
-    if total == 0.0:
-        return np.zeros(k)
-    target = _JACOBI_RTOL * total
-
-    def off_norm():
-        # Summing only the off-diagonal entries avoids the cancellation that
-        # a Frobenius-minus-diagonal difference hits once nearly converged.
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if off_norm() <= target:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                app = float(a[p, p])
-                aqq = float(a[q, q])
-                # Python floats divide to inf silently; the huge-theta branch
-                # below then degrades to the series limit without a warning.
-                theta = (aqq - app) / (2.0 * apq)
-                # Large theta would overflow theta*theta; use the series limit.
-                if abs(theta) > 1e10:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                new_p = c * col_p - s * col_q
-                new_q = s * col_p + c * col_q
-                a[:, p] = new_p
-                a[p, :] = new_p
-                a[:, q] = new_q
-                a[q, :] = new_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        if off_norm() > target:
-            raise ConvergenceError(
-                f"jacobi sweep limit {_JACOBI_MAX_SWEEPS} reached with off-diagonal "
-                f"norm {off_norm():.3e} above target {target:.3e}"
-            )
-    return np.sort(a.diagonal())[::-1].copy()
-
-
 def sym_eigenvalues(t) -> Spectrum:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigenvalues of a symmetric matrix by LAPACK (``numpy.linalg.eigvalsh``).
 
-    Rotations are applied in fixed row-major pivot order until the
-    off-diagonal Frobenius norm drops below 1e-12 times the Frobenius norm
-    of the input, up to 100 sweeps. Failure to converge raises
-    :class:`ConvergenceError`. Only eigenvalues are produced, no vectors.
+    Only eigenvalues are produced, no vectors. A LAPACK convergence failure
+    raises :class:`ConvergenceError`.
 
     Parameters
     ----------
@@ -308,7 +245,11 @@ def sym_eigenvalues(t) -> Spectrum:
         Eigenvalues sorted descending with summary statistics.
     """
     g = t if isinstance(t, GramMatrix) else GramMatrix(t)
-    return Spectrum.from_eigenvalues(_jacobi_eigenvalues(g.entries))
+    try:
+        lam = np.linalg.eigvalsh(g.entries)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue computation did not converge: {exc}") from exc
+    return Spectrum.from_eigenvalues(lam)
 
 
 def frame_potential(psi, sel=None) -> float:
@@ -365,14 +306,18 @@ def mse(psi, sel, noise=1.0) -> float:
 def least_squares(psi, sel, f) -> np.ndarray:
     """Least squares parameter estimate from measurements on selected rows.
 
-    Solves the normal equations of the selected block. The measurement
-    vector ``f`` is ordered like ``sel``.
+    Solves the selected block directly with ``numpy.linalg.lstsq`` (an SVD),
+    so accuracy follows the block's condition number rather than its
+    square, as forming the normal equations would. The measurement vector
+    ``f`` is ordered like ``sel``.
 
     Raises
     ------
     ValueError
-        If the selection's Gram matrix is rank deficient, or the measurement
-        length does not match the selection size.
+        If the selection's Gram matrix is rank deficient (an eigenvalue, i.e.
+        a squared singular value of the block, below ``RANK_RTOL`` times the
+        largest), or the measurement length does not match the selection
+        size.
     """
     m = as_sensing_matrix(psi)
     idx = _selection_indices(sel, m.n)
@@ -383,12 +328,11 @@ def least_squares(psi, sel, f) -> np.ndarray:
         )
     if not np.isfinite(rhs).all():
         raise ValueError("measurements must all be finite")
-    t = gram(m, idx)
-    lam = sym_eigenvalues(t).eigenvalues
-    if lam[0] <= 0.0 or lam[-1] < RANK_RTOL * lam[0]:
+    solution, _, _, sv = np.linalg.lstsq(m.entries[idx], rhs, rcond=None)
+    lam = sv**2
+    if idx.size < m.k or lam[0] <= 0.0 or lam[-1] < RANK_RTOL * lam[0]:
         raise ValueError("selection is rank deficient; parameters are not identifiable")
-    block = m.entries[idx]
-    return np.linalg.solve(t.entries, block.T @ rhs)
+    return solution
 
 
 def row_normalize(psi) -> SensingMatrix:

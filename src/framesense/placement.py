@@ -1,17 +1,21 @@
 """Sensor location selection.
 
 The main algorithm eliminates rows one at a time, always removing the row
-whose removal lowers the frame potential of what remains the most. It keeps
-an N x N table of squared row inner products and updates candidate scores in
-O(N) per elimination, so a full run costs O(N^2 K) for the table plus
-O(N (N - L)) for the eliminations. Reference baselines (determinant,
-error-trace, mutual-information and coherence greedies, plus a seeded random
-picker and exhaustive search) share the same Selection record so sweeps can
-treat them interchangeably.
+whose removal lowers the frame potential of what remains the most. It never
+builds the N x N table of row inner products: initial candidate scores come
+from the K x K frame operator in O(N K^2), and each elimination downdates
+them with one (N, K) matrix-vector product, so the eliminations cost
+O(N (N - L) K) and memory stays O(N K). Only the search for the first,
+most parallel pair is quadratic, O(N^2 K), and it runs over blocks of rows.
 
-Ties in every scan break toward the lowest row index. Reported objectives
-always refer to the original matrix even when selection itself runs on a
-row-normalized copy.
+Reference baselines (determinant, error-trace, mutual-information and
+coherence greedies, plus a seeded random picker and exhaustive search)
+share the same Selection record so sweeps can treat them interchangeably.
+
+Ties in every scan break toward the lowest row index; in the frame-potential
+greedy, values within a rounding bound of the best count as tied. Reported
+objectives always refer to the original matrix even when selection itself
+runs on a row-normalized copy.
 """
 
 from __future__ import annotations
@@ -49,6 +53,16 @@ ALGORITHMS = ("framesense", "det", "mse", "mi", "coherence", "random")
 ORACLE_SUBSET_LIMIT = 10_000_000
 
 _MAX_SEED = 2**64
+
+# framesense counts as tied every candidate within this fraction of a scale
+# of the best one (the largest squared inner product for the first pair,
+# the largest gain over all rows for eliminations) and takes the lowest
+# index among them. It sits far above the float64 rounding of the scores,
+# so exact ties stay ties; a real gap below it is treated as a tie.
+_TIE_RTOL = 1e-12
+
+# Entries of the row block the first-pair search holds at once (4 MiB).
+_PAIR_BLOCK_ENTRIES = 2**19
 
 
 class CovarianceConditioningError(RuntimeError):
@@ -143,8 +157,13 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
 
     Starts by eliminating the pair of rows with the largest squared inner
     product, then repeatedly eliminates the row with the largest marginal
-    frame-potential gain until ``num_sensors`` rows remain. Candidate scores
-    are maintained incrementally, one O(N) update per elimination.
+    frame-potential gain until ``num_sensors`` rows remain. No N x N table
+    is built: initial scores come from the K x K frame operator, and each
+    elimination downdates them with one (N, K) matrix-vector product.
+
+    Gains within a rounding bound of the best one count as tied, and ties
+    go to the lowest row index (the lexicographically smallest pair for the
+    first move).
 
     Parameters
     ----------
@@ -171,55 +190,75 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
         raise ValueError(
             f"sensor count must lie in [1, {n - 2}] for a {n} x {k} matrix, got {num_sensors}"
         )
-    work = row_normalize(m) if opts.normalize_rows else m
-    g = work.entries @ work.entries.T
-    g2 = g * g
-    diag2 = g2.diagonal().copy()
+    w = (row_normalize(m) if opts.normalize_rows else m).entries
+    diag2 = np.einsum("ij,ij->i", w, w) ** 2
 
-    # First elimination: the most parallel pair. Row-major argmax lands on
-    # the lexicographically smallest maximizing pair.
-    masked = g2.copy()
-    masked[np.tril_indices(n)] = -1.0
-    first, second = divmod(int(np.argmax(masked)), n)
+    # score[c] = sum over remaining rows r != c of <w_r, w_c>^2
+    #          = w_c^T (W^T W) w_c - |w_c|^4 while every row remains.
+    score = np.einsum("ij,ij->i", w @ (w.T @ w), w) - diag2
+    tol = _TIE_RTOL * float(np.max(2.0 * score + diag2))
 
+    first, second = _most_parallel_pair(w)
     eliminated = [first, second]
-    remaining = np.ones(n, dtype=bool)
-    remaining[first] = remaining[second] = False
-
-    # score[c] = sum of g2[other, c] over remaining rows other than c
-    score = g2.sum(axis=0) - diag2
-    score -= g2[first]
-    score -= g2[second]
+    # diag2 on remaining rows, -inf on eliminated ones, so 2 * score + live
+    # is the gain of every remaining row and never selects a gone one.
+    live = diag2.copy()
+    live[eliminated] = -np.inf
+    score -= (w @ w[first]) ** 2
+    score -= (w @ w[second]) ** 2
 
     target = n - num_sensors
     while len(eliminated) < target:
-        gains = 2.0 * score + diag2
-        gains[~remaining] = -np.inf
-        r = int(np.argmax(gains))
+        gains = 2.0 * score + live
+        r = int(np.argmax(gains >= gains.max() - tol))
         eliminated.append(r)
-        remaining[r] = False
-        score -= g2[r]
+        live[r] = -np.inf
+        score -= (w @ w[r]) ** 2
 
-    chosen = tuple(int(i) for i in np.flatnonzero(remaining))
-    trace = _elimination_trace(m, opts, g2, eliminated)
-    return Selection(chosen, tuple(eliminated), trace)
+    chosen = tuple(int(i) for i in np.flatnonzero(live > -np.inf))
+    return Selection(chosen, tuple(eliminated), _elimination_trace(m, eliminated))
 
 
-def _elimination_trace(m, opts, g2_work, eliminated) -> tuple:
-    """Frame potential of the surviving rows after each elimination."""
-    if opts.normalize_rows:
-        g0 = m.entries @ m.entries.T
-        g2 = g0 * g0
-    else:
-        g2 = g2_work
-    alive = np.ones(m.n, dtype=bool)
-    fp = float(g2.sum())
+def _most_parallel_pair(w) -> tuple[int, int]:
+    """Lexicographically first pair i < j whose squared inner product ties the largest.
+
+    Scans ``w @ w.T`` in blocks of rows, each from its own diagonal onward,
+    so the working set stays near :data:`_PAIR_BLOCK_ENTRIES` doubles.
+    """
+    n = w.shape[0]
+    step = max(1, _PAIR_BLOCK_ENTRIES // n)
+    row_max = np.empty(n - 1)
+    for lo in range(0, n - 1, step):
+        hi = min(lo + step, n - 1)
+        # entry (t, c) pairs row lo + t with row lo + c. Entries left of the
+        # diagonal pair row lo + t with a lower row, which counts the same
+        # value in its own maximum, so they never move the lowest row that
+        # reaches the best value; only the diagonal has to go.
+        block = w[lo:hi] @ w[lo:].T
+        block *= block
+        np.fill_diagonal(block, 0.0)
+        row_max[lo:hi] = block.max(axis=1)
+    best = float(row_max.max())
+    bar = best - _TIE_RTOL * best
+    i = int(np.argmax(row_max >= bar))
+    row = (w[i + 1:] @ w[i]) ** 2
+    # recomputed outside its block, the best product may round just below bar
+    j = i + 1 + int(np.argmax(row >= min(bar, row.max())))
+    return i, j
+
+
+def _elimination_trace(m, eliminated) -> tuple:
+    """Frame potential of the surviving original rows after each elimination.
+
+    Uses FP = |T_R|_F^2 for the K x K frame operator T_R of the survivors,
+    downdated by one outer product per eliminated row.
+    """
+    e = m.entries
+    t = e.T @ e
     trace = []
     for r in eliminated:
-        cross = float(g2[r, alive].sum()) - float(g2[r, r])
-        fp -= 2.0 * cross + float(g2[r, r])
-        alive[r] = False
-        trace.append(fp)
+        t -= np.outer(e[r], e[r])
+        trace.append(float(np.sum(t * t)))
     return tuple(trace)
 
 

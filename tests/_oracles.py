@@ -138,3 +138,38 @@ def mse_oracle(psi, selected, sigma2=1.0):
     if np.min(lam) < 1e-10 * max(np.max(lam), 0.0) or np.min(lam) <= 0.0:
         return float("inf")
     return sigma2 * float(np.sum(1.0 / lam))
+
+
+def exact_framesense(psi, num_sensors):
+    """Worst-out greedy on an integer matrix in exact integer arithmetic.
+
+    The first move removes the lexicographically first pair (i, j), i < j,
+    with the largest squared inner product; every later move removes the
+    lowest-index row with the largest frame-potential drop, recomputed from
+    scratch. Row normalization scales every squared inner product by the
+    same factor when all rows share one norm (as for +-1 entries), so the
+    result then also stands for the normalized run. Returns the elimination
+    order (list of row indices).
+    """
+    a = np.asarray(psi)
+    if not np.array_equal(a, np.round(a)):
+        raise ValueError("exact_framesense needs an integer matrix")
+    a = a.astype(np.int64)
+    g2 = (a @ a.T) ** 2
+    n = a.shape[0]
+
+    # np.argmax returns the first maximum; on exact integers that is the
+    # row-major, i.e. lexicographic, first maximizing pair
+    iu, ju = np.triu_indices(n, 1)
+    p = int(np.argmax(g2[iu, ju]))
+    eliminated = [int(iu[p]), int(ju[p])]
+    remaining = np.array([q for q in range(n) if q not in eliminated])
+
+    while remaining.size > num_sensors:
+        sub = g2[np.ix_(remaining, remaining)]
+        # drop of FP when a row leaves: both cross terms plus the diagonal
+        drops = 2 * sub.sum(axis=1) - np.diag(sub)
+        pos = int(np.argmax(drops))
+        eliminated.append(int(remaining[pos]))
+        remaining = np.delete(remaining, pos)
+    return eliminated

@@ -217,6 +217,20 @@ class TestOracleAudit:
         assert info["fp_pass"] == 4
         assert info["max_fp_ratio"] >= 1.0
 
+    def test_default_config_certifies_unnormalized_run(self):
+        # stacked_scaled rows have uneven norms, so a normalized greedy can
+        # miss gamma; the default config (normalize_rows=True) must still
+        # audit the unnormalized run the certificate covers
+        cfg = small_cfg(family="stacked_scaled", scale=4.0, n=12, k=3,
+                        l_values=(4, 6), trials=10)
+        assert cfg.normalize_rows
+        table = oracle_audit(cfg)
+        assert all(row.fp_within_gamma for row in table.rows)
+        for row in table.rows:
+            matrix = generate(GeneratorSpec("stacked_scaled", 12, 3, seed=row.seed, scale=4.0))
+            sel = run_placement(matrix, row.report.l, PlacementOptions(normalize_rows=False))
+            assert row.fp_greedy == frame_potential(matrix, sel.chosen)
+
     def test_greedy_values_match_direct_run(self):
         cfg = small_cfg(n=8, l_values=(4,), trials=1)
         row = oracle_audit(cfg).rows[0]

@@ -1,4 +1,4 @@
-"""Dense-numerics layer: Gram matrices, Jacobi eigenvalues, FP, MSE."""
+"""Dense-numerics layer: Gram matrices, eigenvalues, FP, MSE."""
 
 import math
 
@@ -187,6 +187,14 @@ class TestEigenvalues:
     def test_convergence_error_is_runtime_error(self):
         assert issubclass(ConvergenceError, RuntimeError)
 
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError):
+            sym_eigenvalues(np.eye(2))
+
 
 class TestSpectrum:
     def test_summary_stats(self):
@@ -297,6 +305,17 @@ class TestLeastSquares:
         block = psi[list(sel)]
         residual = block @ out - f
         assert np.max(np.abs(block.T @ residual)) < 1e-8
+
+    def test_ill_conditioned_block(self):
+        # Gram condition number 1e7 (block 10^3.5): the normal equations
+        # would lose about seven digits, the block solve about three
+        rng = np.random.default_rng(23)
+        u, _ = np.linalg.qr(rng.normal(size=(40, 6)))
+        v, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        psi = (u * np.logspace(0, -3.5, 6)) @ v.T
+        alpha = rng.normal(size=6)
+        out = least_squares(psi, range(40), psi @ alpha)
+        assert np.max(np.abs(out - alpha)) < 1e-11 * np.max(np.abs(alpha))
 
     def test_rank_deficient_raises(self):
         with pytest.raises(ValueError):

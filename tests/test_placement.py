@@ -1,6 +1,7 @@
 """Placement algorithms: the frame-potential greedy, baselines, oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ import pytest
 from framesense import (
     ALGORITHMS,
     ORACLE_SUBSET_LIMIT,
+    GeneratorSpec,
     PlacementOptions,
     Selection,
     exhaustive_oracle,
     frame_potential,
     framesense,
+    generate,
     greedy_coherence,
     greedy_det,
     greedy_mi,
@@ -24,7 +27,7 @@ from framesense import (
     run_placement,
 )
 
-from _oracles import best_subset, naive_framesense
+from _oracles import best_subset, exact_framesense, naive_framesense
 
 # three basis rows plus a duplicate of the first
 E_DUP = np.array([
@@ -106,6 +109,38 @@ class TestFramesense:
         off = framesense(psi, 3, PlacementOptions(normalize_rows=False))
         assert on.eliminated == (0, 2)
         assert off.eliminated == (3, 4)
+
+    def test_exact_ties_match_integer_oracle_on_bernoulli(self):
+        # +-1 rows share one norm, so every squared inner product is an
+        # exact integer (times 1/k^2 when normalized) and ties are real;
+        # they must break toward the lowest index despite rounding
+        k = 5
+        for n in (12, 40, 100, 300):
+            for seed in range(10):
+                psi = generate(GeneratorSpec("bernoulli", n, k, seed=seed))
+                for l in sorted({k, (n + k) // 2, n - 2}):
+                    want = exact_framesense(psi.entries, l)
+                    for normalize in (True, False):
+                        sel = framesense(psi, l, PlacementOptions(normalize_rows=normalize))
+                        assert list(sel.eliminated) == want, (n, seed, l, normalize)
+
+    def test_stacked_scaled_first_pair_is_lexicographic(self):
+        # normalized, rows i and i + 20 coincide: twenty tied duplicate
+        # pairs, of which (0, 20) comes first
+        for seed in range(8):
+            psi = generate(GeneratorSpec("stacked_scaled", 40, 5, seed=seed, scale=4.0))
+            assert framesense(psi, 20).eliminated[:2] == (0, 20)
+
+    def test_no_n_by_n_table(self):
+        psi = generate(GeneratorSpec("gaussian", 4000, 30, seed=0))
+        tracemalloc.start()
+        try:
+            framesense(psi, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 4000 x 4000 float64 table alone would take 122 MiB
+        assert peak < 32 * 2**20
 
     def test_sensor_count_range(self):
         with pytest.raises(ValueError):
