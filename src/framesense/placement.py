@@ -55,11 +55,18 @@ ORACLE_SUBSET_LIMIT = 10_000_000
 _MAX_SEED = 2**64
 
 # framesense counts as tied every candidate within this fraction of a scale
-# of the best one (the largest squared inner product for the first pair,
-# the largest gain over all rows for eliminations) and takes the lowest
-# index among them. It sits far above the float64 rounding of the scores,
-# so exact ties stay ties; a real gap below it is treated as a tie.
+# of the best one and takes the lowest index among them. For the first pair
+# the scale is the largest squared inner product; for eliminations it is the
+# largest rounding bound over the remaining rows (see _scores). It sits far
+# above the float64 rounding of the scores, so exact ties stay ties; a real
+# gap below it is treated as a tie.
 _TIE_RTOL = 1e-12
+
+# framesense recomputes its scores from the surviving rows once the largest
+# gain, relative to the largest rounding bound, falls below this fraction of
+# its value at the last computation, so the tie tolerance stays near the
+# scale of the gains it compares (rows of very different norms).
+_RESCORE_RATIO = 1e-3
 
 # Entries of the row block the first-pair search holds at once (4 MiB).
 _PAIR_BLOCK_ENTRIES = 2**19
@@ -163,7 +170,10 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
 
     Gains within a rounding bound of the best one count as tied, and ties
     go to the lowest row index (the lexicographically smallest pair for the
-    first move).
+    first move). The bound follows the remaining rows; when the gains fall
+    far below it, the scores are recomputed from the survivors in
+    O(N K^2), once per thousandfold drop of the largest gain relative to
+    the bound.
 
     Parameters
     ----------
@@ -193,30 +203,55 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     w = (row_normalize(m) if opts.normalize_rows else m).entries
     diag2 = np.einsum("ij,ij->i", w, w) ** 2
 
-    # score[c] = sum over remaining rows r != c of <w_r, w_c>^2
-    #          = w_c^T (W^T W) w_c - |w_c|^4 while every row remains.
-    score = np.einsum("ij,ij->i", w @ (w.T @ w), w) - diag2
-    tol = _TIE_RTOL * float(np.max(2.0 * score + diag2))
-
     first, second = _most_parallel_pair(w)
     eliminated = [first, second]
     # diag2 on remaining rows, -inf on eliminated ones, so 2 * score + live
     # is the gain of every remaining row and never selects a gone one.
     live = diag2.copy()
     live[eliminated] = -np.inf
-    score -= (w @ w[first]) ** 2
-    score -= (w @ w[second]) ** 2
+    score, bound = _scores(w, live, diag2)
+    fresh = None
 
     target = n - num_sensors
     while len(eliminated) < target:
         gains = 2.0 * score + live
-        r = int(np.argmax(gains >= gains.max() - tol))
+        top = float(gains.max())
+        err = float(bound.max())
+        if fresh is None:
+            fresh = (top, err)
+        elif top * fresh[1] < _RESCORE_RATIO * fresh[0] * err:
+            # the scores carry rounding from rows that are gone; start over
+            score, bound = _scores(w, live, diag2)
+            fresh = None
+            continue
+        r = int(np.argmax(gains >= top - _TIE_RTOL * err))
         eliminated.append(r)
         live[r] = -np.inf
+        bound[r] = -np.inf
         score -= (w @ w[r]) ** 2
 
     chosen = tuple(int(i) for i in np.flatnonzero(live > -np.inf))
     return Selection(chosen, tuple(eliminated), _elimination_trace(m, eliminated))
+
+
+def _scores(w, live, diag2):
+    """Cross-term scores of the remaining rows and bounds on their rounding.
+
+    With T the frame operator of the rows where ``live`` is finite,
+    score[c] = w_c^T T w_c - |w_c|^4, the sum of <w_r, w_c>^2 over the other
+    remaining rows r. The same sum over the absolute values of the entries,
+    doubled and plus |w_c|^4, bounds the gain of row c and, up to a small
+    multiple of the unit roundoff, the rounding error of its score, then and
+    after later downdates. Removed rows get a bound of -inf.
+    """
+    alive = live > -np.inf
+    kept = w[alive]
+    score = np.einsum("ij,ij->i", w @ (kept.T @ kept), w) - diag2
+    a = np.abs(w)
+    kept = a[alive]
+    bound = 2.0 * np.einsum("ij,ij->i", a @ (kept.T @ kept), a) - diag2
+    bound[~alive] = -np.inf
+    return score, bound
 
 
 def _most_parallel_pair(w) -> tuple[int, int]:

@@ -72,6 +72,16 @@ class TestFramesense:
                 fast = framesense(psi, l, PlacementOptions(normalize_rows=normalize))
                 slow = naive_framesense(psi, l, normalize_rows=normalize)
                 assert list(fast.eliminated) == slow
+        # unnormalized, the scaled half dominates the first gains by scale^4;
+        # once it is gone the small rows must still be ranked by their own
+        # gains, not tied by a tolerance sized for the rows that left
+        for scale in (1e3, 1e6):
+            for seed in range(4):
+                psi = generate(GeneratorSpec("stacked_scaled", 20, 3, seed=seed, scale=scale))
+                for l in (3, 8, 13):
+                    fast = framesense(psi, l, PlacementOptions(normalize_rows=False))
+                    slow = naive_framesense(psi.entries, l, normalize_rows=False)
+                    assert list(fast.eliminated) == slow, (scale, seed, l)
 
     def test_matches_naive_down_to_one_row(self):
         # unnormalized: single-survivor objectives stay distinct, so the
