@@ -42,7 +42,7 @@ __all__ = [
 
 RAW_CSV_HEADER = "family,N,K,L,algorithm,trial,seed,mse,fp,wall_time_seconds"
 AGG_CSV_HEADER = (
-    "family,N,K,L,algorithm,trials,mse_mean,mse_std,fp_mean,fp_std,time_mean,time_std"
+    "family,N,K,L,algorithm,trials,mse_mean,mse_std,mse_unbounded,fp_mean,fp_std,time_mean,time_std"
 )
 AUDIT_CSV_HEADER = (
     "family,trial,seed,"
@@ -168,6 +168,7 @@ class AggRow:
     trials: int
     mse_mean: float
     mse_std: float
+    mse_unbounded: int
     fp_mean: float
     fp_std: float
     time_mean: float
@@ -184,6 +185,7 @@ class AggRow:
                 str(self.trials),
                 _FMT % self.mse_mean,
                 _FMT % self.mse_std,
+                str(self.mse_unbounded),
                 _FMT % self.fp_mean,
                 _FMT % self.fp_std,
                 _FMT % self.time_mean,
@@ -203,7 +205,8 @@ def _aggregate(raw: list) -> list:
         mses = np.array([r.mse for r in rows])
         fps = np.array([r.fp for r in rows])
         times = np.array([r.wall_time_seconds for r in rows])
-        # groups holding an unbounded MSE get mean=inf and std=nan, silently
+        # groups holding an unbounded MSE get mean=inf and std=nan, and
+        # mse_unbounded says how many of their cells are unbounded
         with np.errstate(invalid="ignore"):
             out.append(
                 AggRow(
@@ -215,6 +218,7 @@ def _aggregate(raw: list) -> list:
                     trials=len(rows),
                     mse_mean=float(np.mean(mses)),
                     mse_std=float(np.std(mses)),
+                    mse_unbounded=int(np.count_nonzero(np.isinf(mses))),
                     fp_mean=float(np.mean(fps)),
                     fp_std=float(np.std(fps)),
                     time_mean=float(np.mean(times)),

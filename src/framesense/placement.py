@@ -9,13 +9,14 @@ O(N (N - L) K) and memory stays O(N K). Only the search for the first,
 most parallel pair is quadratic, O(N^2 K), and it runs over blocks of rows.
 
 Reference baselines (determinant, error-trace, mutual-information and
-coherence greedies, plus a seeded random picker and exhaustive search)
-share the same Selection record so sweeps can treat them interchangeably.
+coherence greedies, which share one best-in loop, plus a seeded random picker
+and exhaustive search) share the same Selection record so sweeps can treat
+them interchangeably.
 
-Ties in every scan break toward the lowest row index; in the frame-potential
-greedy, values within a rounding bound of the best count as tied. Reported
-objectives always refer to the original matrix even when selection itself
-runs on a row-normalized copy.
+Every scan follows one tie rule: values within a rounding bound of the best
+count as tied, and the lowest row index among them wins. Reported objectives
+always refer to the original matrix even when selection itself runs on a
+row-normalized copy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import as_sensing_matrix, mse, row_normalize
+from .linalg import RANK_RTOL, as_sensing_matrix, mse, row_normalize
 from .seeding import philox_generator
 
 __all__ = [
@@ -47,19 +48,32 @@ __all__ = [
     "run_placement",
 ]
 
-ALGORITHMS = ("framesense", "det", "mse", "mi", "coherence", "random")
+# Placers are looked up at call time, so one replaced on this module (a
+# tracer's timing wrapper, a test double) is the one that runs.
+_PLACERS = {
+    "framesense": lambda psi, l, opts: framesense(psi, l, opts),
+    "det": lambda psi, l, opts: greedy_det(psi, l, opts),
+    "mse": lambda psi, l, opts: greedy_mse(psi, l, opts),
+    "mi": lambda psi, l, opts: greedy_mi(psi, l, opts),
+    "coherence": lambda psi, l, opts: greedy_coherence(psi, l, opts),
+    "random": lambda psi, l, opts: random_placement(psi, l, opts.seed),
+}
+
+ALGORITHMS = tuple(_PLACERS)
 
 # Exhaustive search refuses to enumerate more subsets than this.
 ORACLE_SUBSET_LIMIT = 10_000_000
 
 _MAX_SEED = 2**64
 
-# framesense counts as tied every candidate within this fraction of a scale
-# of the best one and takes the lowest index among them. For the first pair
-# the scale is the largest squared inner product; for eliminations it is the
-# largest rounding bound over the remaining rows (see _scores). It sits far
-# above the float64 rounding of the scores, so exact ties stay ties; a real
-# gap below it is treated as a tie.
+# Every scan counts as tied each candidate within this fraction of a scale of
+# the best one and takes the lowest index among them (_first_best). The scale
+# follows the rounding of the values compared: the largest squared inner
+# product (framesense's first pair), the largest rounding bound of the
+# remaining rows (its eliminations, see _scores), a condition bound (det),
+# the error trace before the pick (mse), the best ratio (mi), 1 (coherence).
+# It sits far above float64 rounding, so exact ties stay ties; a real gap
+# below it is treated as a tie.
 _TIE_RTOL = 1e-12
 
 # framesense recomputes its scores from the surviving rows once the largest
@@ -224,7 +238,7 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
             score, bound = _scores(w, live, diag2)
             fresh = None
             continue
-        r = int(np.argmax(gains >= top - _TIE_RTOL * err))
+        r = _first_best(gains, err)
         eliminated.append(r)
         live[r] = -np.inf
         bound[r] = -np.inf
@@ -274,12 +288,15 @@ def _most_parallel_pair(w) -> tuple[int, int]:
         np.fill_diagonal(block, 0.0)
         row_max[lo:hi] = block.max(axis=1)
     best = float(row_max.max())
-    bar = best - _TIE_RTOL * best
-    i = int(np.argmax(row_max >= bar))
-    row = (w[i + 1:] @ w[i]) ** 2
-    # recomputed outside its block, the best product may round just below bar
-    j = i + 1 + int(np.argmax(row >= min(bar, row.max())))
+    i = _first_best(row_max, best)
+    # recomputed outside its block, the best product may round a little lower
+    j = i + 1 + _first_best((w[i + 1:] @ w[i]) ** 2, best)
     return i, j
+
+
+def _first_best(values, scale) -> int:
+    """Lowest index whose value lies within ``_TIE_RTOL * scale`` of the largest."""
+    return int(np.argmax(values >= values.max() - _TIE_RTOL * scale))
 
 
 def _elimination_trace(m, eliminated) -> tuple:
@@ -297,6 +314,26 @@ def _elimination_trace(m, eliminated) -> tuple:
     return tuple(trace)
 
 
+def _best_in(n, num_sensors, objective, minimize=False, start=()) -> Selection:
+    """Add rows to ``start``, best first, until ``num_sensors`` are chosen.
+
+    ``objective(chosen, free)`` returns the objective the chosen set would
+    reach with each free row (``free`` ascending) and the scale of their
+    rounding; ties go to the lowest index. The trace holds the winning
+    value of each step.
+    """
+    chosen = list(start)
+    trace = []
+    free = np.setdiff1d(np.arange(n), chosen)
+    while len(chosen) < num_sensors:
+        values, scale = objective(chosen, free)
+        pos = _first_best(-values if minimize else values, scale)
+        chosen.append(int(free[pos]))
+        trace.append(float(values[pos]))
+        free = np.delete(free, pos)
+    return Selection(tuple(chosen), tuple(int(i) for i in free), tuple(trace))
+
+
 def _check_best_in_args(m, num_sensors):
     n, k = m.shape
     if not k <= num_sensors <= n:
@@ -310,68 +347,47 @@ def greedy_det(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     m = as_sensing_matrix(psi)
     opts = opts or PlacementOptions(algorithm="det")
     _check_best_in_args(m, num_sensors)
-    eps = opts.resolved_ridge(m)
-    current = eps * np.eye(m.k)
-    available = list(range(m.n))
-    chosen = []
-    trace = []
-    for _ in range(num_sensors):
-        best_val = -np.inf
-        best_i = -1
-        for i in available:
-            row = m.entries[i]
-            sign, logdet = np.linalg.slogdet(current + np.outer(row, row))
-            val = logdet if sign > 0 else -np.inf
-            if val > best_val:
-                best_val = val
-                best_i = i
-        chosen.append(best_i)
-        available.remove(best_i)
-        row = m.entries[best_i]
-        current += np.outer(row, row)
-        trace.append(best_val)
-    return Selection(tuple(chosen), tuple(sorted(available)), tuple(trace))
+    ridge = opts.resolved_ridge(m)
+    e = m.entries
+
+    def objective(chosen, free):
+        gram = ridge * np.eye(m.k) + e[chosen].T @ e[chosen]
+        values = np.empty(free.size)
+        for pos, i in enumerate(free):
+            sign, logdet = np.linalg.slogdet(gram + np.outer(e[i], e[i]))
+            values[pos] = logdet if sign > 0 else -np.inf
+        # slogdet rounds in proportion to the condition of what it factors
+        lam = np.linalg.eigvalsh(gram)
+        return values, (lam[-1] + float(np.max(m.row_norms[free] ** 2))) / lam[0]
+
+    return _best_in(m.n, num_sensors, objective)
 
 
 def greedy_mse(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
-    """Best-in greedy minimizing the trace of the ridged inverse Gram matrix."""
+    """Best-in greedy minimizing the trace of the ridged inverse Gram matrix.
+
+    Adding row x to Gram matrix G lowers that trace by
+    ``|G^-1 x|^2 / (1 + x^T G^-1 x)`` (Sherman-Morrison). One eigenbasis of
+    G per step scores every candidate, and in it the ridge, which dominates
+    the trace until the chosen rows span all K directions, weighs every
+    candidate alike instead of rounding differently for each.
+    """
     m = as_sensing_matrix(psi)
     opts = opts or PlacementOptions(algorithm="mse")
     _check_best_in_args(m, num_sensors)
-    eps = opts.resolved_ridge(m)
-    current = eps * np.eye(m.k)
-    available = list(range(m.n))
-    chosen = []
-    trace = []
-    for _ in range(num_sensors):
-        best_val = np.inf
-        best_i = -1
-        for i in available:
-            row = m.entries[i]
-            val = float(np.trace(np.linalg.inv(current + np.outer(row, row))))
-            if val < best_val:
-                best_val = val
-                best_i = i
-        chosen.append(best_i)
-        available.remove(best_i)
-        row = m.entries[best_i]
-        current += np.outer(row, row)
-        trace.append(best_val)
-    return Selection(tuple(chosen), tuple(sorted(available)), tuple(trace))
+    ridge = opts.resolved_ridge(m)
+    e = m.entries
 
+    def objective(chosen, free):
+        lam, vec = np.linalg.eigh(e[chosen].T @ e[chosen])
+        # directions lost by the package's rank rule weigh exactly 1 / ridge
+        lam[lam < RANK_RTOL * lam[-1]] = 0.0
+        inv = 1.0 / (ridge + lam)
+        y2 = (e[free] @ vec) ** 2
+        total = float(inv.sum())
+        return total - (y2 @ inv**2) / (1.0 + y2 @ inv), total
 
-def _conditional_variance(cov, i, subset, eps) -> float:
-    if subset.size == 0:
-        return float(cov[i, i])
-    block = cov[np.ix_(subset, subset)] + eps * np.eye(subset.size)
-    rhs = cov[subset, i]
-    try:
-        sol = np.linalg.solve(block, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise CovarianceConditioningError(
-            f"conditioning on {subset.size} locations failed: {exc}"
-        ) from exc
-    return float(cov[i, i] - rhs @ sol)
+    return _best_in(m.n, num_sensors, objective, minimize=True)
 
 
 def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
@@ -380,7 +396,8 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
     Location covariance is ``psi @ psi.T + sigma2 * I``. Each step adds the
     location maximizing the ratio of its conditional variance given the
     chosen set to its conditional variance given all other unchosen
-    locations, both evaluated through ridged Schur complements.
+    locations, both through ridged Schur complements; with
+    ``M = cov[free, free] + ridge * I`` the latter is ``1 / (M^-1)_ii - ridge``.
     """
     m = as_sensing_matrix(psi)
     opts = opts or PlacementOptions(algorithm="mi")
@@ -389,29 +406,27 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
         raise ValueError(f"sensor count must lie in [1, {n - 1}], got {num_sensors}")
     eps = opts.resolved_ridge(m)
     cov = m.entries @ m.entries.T + opts.sigma2 * np.eye(n)
-    available = list(range(n))
-    chosen = []
-    trace = []
-    for _ in range(num_sensors):
-        chosen_idx = np.asarray(chosen, dtype=np.int64)
-        best_val = -np.inf
-        best_i = -1
-        for i in available:
-            rest = np.asarray([j for j in available if j != i], dtype=np.int64)
-            numer = _conditional_variance(cov, i, chosen_idx, eps)
-            denom = _conditional_variance(cov, i, rest, eps)
-            if not (numer > 0.0 and denom > 0.0):
-                raise CovarianceConditioningError(
-                    f"conditional variance at location {i} is not positive"
-                )
-            val = numer / denom
-            if val > best_val:
-                best_val = val
-                best_i = i
-        chosen.append(best_i)
-        available.remove(best_i)
-        trace.append(best_val)
-    return Selection(tuple(chosen), tuple(sorted(available)), tuple(trace))
+
+    def objective(chosen, free):
+        numer = np.diag(cov)[free]
+        try:
+            if chosen:
+                cross = cov[np.ix_(chosen, free)]
+                block = cov[np.ix_(chosen, chosen)] + eps * np.eye(len(chosen))
+                numer = numer - np.einsum("ij,ij->j", cross, np.linalg.solve(block, cross))
+            inv = np.linalg.inv(cov[np.ix_(free, free)] + eps * np.eye(free.size))
+        except np.linalg.LinAlgError as exc:
+            raise CovarianceConditioningError(f"conditioning failed: {exc}") from exc
+        denom = 1.0 / np.diag(inv) - eps
+        bad = np.flatnonzero(~((numer > 0.0) & (denom > 0.0)))
+        if bad.size:
+            raise CovarianceConditioningError(
+                f"conditional variance at location {int(free[bad[0]])} is not positive"
+            )
+        values = numer / denom
+        return values, float(values.max())
+
+    return _best_in(n, num_sensors, objective)
 
 
 def greedy_coherence(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
@@ -431,18 +446,15 @@ def greedy_coherence(psi, num_sensors: int, opts: PlacementOptions | None = None
     coh = np.abs(m.entries @ m.entries.T) / np.outer(norms, norms)
     np.clip(coh, 0.0, 1.0, out=coh)
 
-    masked = coh.copy()
-    masked[np.tril_indices(n)] = np.inf
-    first, second = divmod(int(np.argmin(masked)), n)
-    chosen = [first, second]
-    available = [i for i in range(n) if i not in (first, second)]
-    trace = [float(coh[first, second])]
-    while len(chosen) < num_sensors:
-        worst = coh[np.ix_(chosen, available)].max(axis=0)
-        pos = int(np.argmin(worst))
-        trace.append(float(worst[pos]))
-        chosen.append(available.pop(pos))
-    return Selection(tuple(chosen), tuple(sorted(available)), tuple(trace))
+    # coherences lie in [0, 1] and round in absolute terms, hence scale 1.
+    # The lowest row in a least coherent pair starts; its first step then
+    # adds the lowest partner, completing the lexicographically first pair.
+    first = _first_best(-coh.min(axis=1), 1.0)
+
+    def objective(chosen, free):
+        return coh[np.ix_(chosen, free)].max(axis=0), 1.0
+
+    return _best_in(n, num_sensors, objective, minimize=True, start=(first,))
 
 
 def random_placement(psi, num_sensors: int, seed: int = 0) -> Selection:
@@ -513,17 +525,4 @@ def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
 
 def run_placement(psi, num_sensors: int, opts: PlacementOptions) -> Selection:
     """Dispatch to the algorithm named in ``opts.algorithm``."""
-    algo = opts.algorithm
-    if algo == "framesense":
-        return framesense(psi, num_sensors, opts)
-    if algo == "det":
-        return greedy_det(psi, num_sensors, opts)
-    if algo == "mse":
-        return greedy_mse(psi, num_sensors, opts)
-    if algo == "mi":
-        return greedy_mi(psi, num_sensors, opts)
-    if algo == "coherence":
-        return greedy_coherence(psi, num_sensors, opts)
-    if algo == "random":
-        return random_placement(psi, num_sensors, opts.seed)
-    raise AssertionError(f"unhandled algorithm {algo!r}")
+    return _PLACERS[opts.algorithm](psi, num_sensors, opts)

@@ -6,6 +6,7 @@ code with the package under test.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -173,3 +174,53 @@ def exact_framesense(psi, num_sensors):
         eliminated.append(int(remaining[pos]))
         remaining = np.delete(remaining, pos)
     return eliminated
+
+
+def exact_best_in(psi, num_sensors, objective, ridge):
+    """Determinant or error-trace greedy in exact rational arithmetic.
+
+    Each step adds the lowest-index row that maximizes the determinant
+    (``objective="det"``) or minimizes the trace of the inverse
+    (``objective="mse"``) of ``ridge * I`` plus the Gram matrix of the
+    chosen rows, every candidate's matrix inverted anew by
+    Gauss-Jordan elimination over fractions. Float entries and the ridge are
+    taken at their exact binary values. Returns the pick order.
+    """
+    a = [[Fraction(float(v)) for v in row] for row in np.asarray(psi)]
+    k = len(a[0])
+    gram = [[Fraction(ridge) * (r == c) for c in range(k)] for r in range(k)]
+    free = list(range(len(a)))
+    chosen = []
+    for _ in range(num_sensors):
+        best = None
+        for i in free:
+            x = a[i]
+            det, inv = _det_and_inverse([[gram[r][c] + x[r] * x[c] for c in range(k)] for r in range(k)])
+            val = det if objective == "det" else -sum(inv[j][j] for j in range(k))
+            # strict comparison keeps the lowest index among exact ties
+            if best is None or val > best[0]:
+                best = (val, i)
+        x = a[best[1]]
+        gram = [[gram[r][c] + x[r] * x[c] for c in range(k)] for r in range(k)]
+        chosen.append(best[1])
+        free.remove(best[1])
+    return chosen
+
+
+def _det_and_inverse(m):
+    n = len(m)
+    rows = [list(row) + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(m)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det *= pivot
+        rows[c] = [v / pivot for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [u - f * v for u, v in zip(rows[r], rows[c])]
+    return det, [row[n:] for row in rows]

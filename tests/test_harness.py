@@ -156,6 +156,7 @@ class TestAggregation:
         assert agg[0].trials == 2
         assert agg[0].mse_mean == 2.0
         assert agg[0].mse_std == 1.0
+        assert agg[0].mse_unbounded == 0
         assert agg[0].fp_mean == 20.0
         assert agg[0].time_mean == 1.0
 
@@ -166,6 +167,8 @@ class TestAggregation:
         ]
         agg = ResultTable(rows).aggregates
         assert math.isinf(agg[0].mse_mean)
+        assert agg[0].mse_unbounded == 1
+        assert agg[0].to_csv().split(",")[AGG_CSV_HEADER.split(",").index("mse_unbounded")] == "1"
 
 
 class TestCsvOutput:

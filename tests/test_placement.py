@@ -27,7 +27,7 @@ from framesense import (
     run_placement,
 )
 
-from _oracles import best_subset, exact_framesense, naive_framesense
+from _oracles import best_subset, exact_best_in, exact_framesense, naive_framesense
 
 # three basis rows plus a duplicate of the first
 E_DUP = np.array([
@@ -50,6 +50,15 @@ def random_instance(seed, n=None, k=None):
     n = n or int(rng.integers(6, 13))
     k = k or int(rng.integers(2, min(n - 2, 5) + 1))
     return rng.normal(size=(n, k))
+
+
+def duplicated_row_instance(seed):
+    """Random instance whose row ``copy`` repeats the lower row ``twin``."""
+    psi = random_instance(seed)
+    rng = np.random.default_rng(seed + 10_000)
+    twin, copy = sorted(int(i) for i in rng.choice(psi.shape[0], size=2, replace=False))
+    psi[copy] = psi[twin]
+    return psi, twin, copy
 
 
 class TestFramesense:
@@ -294,6 +303,36 @@ class TestGreedyCoherence:
     def test_needs_at_least_two(self):
         with pytest.raises(ValueError):
             greedy_coherence(np.eye(3), 1)
+
+
+class TestBestInTies:
+    @pytest.mark.parametrize("placer", [greedy_det, greedy_mse, greedy_mi, greedy_coherence])
+    def test_exact_ties_go_to_the_lowest_index(self, placer):
+        # a copied row ties its twin exactly in every objective, so the copy
+        # may only follow it
+        for seed in range(200):
+            psi, twin, copy = duplicated_row_instance(seed)
+            chosen = list(placer(psi, psi.shape[0] - 1).chosen)
+            if copy in chosen:
+                assert twin in chosen[:chosen.index(copy)], (seed, chosen)
+        if placer in (greedy_det, greedy_mse):
+            # the first pick's determinant and error trace depend on the
+            # row norm alone, so unit-norm rows all tie
+            for seed in range(10):
+                psi = generate(GeneratorSpec("gaussian_row_normalized", 40, 5, seed=seed))
+                assert placer(psi, 5).chosen[0] == 0, seed
+
+    @pytest.mark.parametrize("objective", ["det", "mse"])
+    def test_matches_exact_oracle_on_bernoulli(self, objective):
+        # +-1 rows tie in many steps, also after the first; rational
+        # arithmetic decides every comparison exactly
+        placer = greedy_det if objective == "det" else greedy_mse
+        for n, k, l, seeds in ((12, 3, 10, range(10)), (40, 5, 8, range(4))):
+            for seed in seeds:
+                psi = generate(GeneratorSpec("bernoulli", n, k, seed=seed))
+                ridge = PlacementOptions().resolved_ridge(psi)
+                want = exact_best_in(psi.entries, l, objective, ridge)
+                assert list(placer(psi, l).chosen) == want, (n, seed)
 
 
 class TestRandomPlacement:
