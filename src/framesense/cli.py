@@ -71,6 +71,9 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_place(args) -> int:
     if args.matrix is not None:
+        ignored = [f"--{name}" for name in ("n", "k", "scale") if getattr(args, name) is not None]
+        if ignored:
+            raise ValueError(f"{' and '.join(ignored)} apply to --gen only, not to --matrix")
         matrix = as_sensing_matrix(load_matrix(args.matrix))
     else:
         if args.n is None or args.k is None:
@@ -121,6 +124,8 @@ def _cmd_audit(args) -> int:
 
 def _cmd_matgen(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
+    if cfg.matrix_csv is not None:
+        raise ValueError("matrix_csv applies to sweep-mse only; matgen generates its matrix")
     if len(cfg.family) != 1:
         raise ValueError("matgen needs exactly one family in the config")
     spec = GeneratorSpec(

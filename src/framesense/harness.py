@@ -60,8 +60,9 @@ class ExperimentConfig:
     JSON config files use exactly these field names. ``family`` may be a
     single family name or a list to sweep several; ``matrix_csv`` overrides
     generation with a fixed matrix read from disk (its rows then define N
-    and K, and the family column reads ``csv``). ``n_values`` only matters
-    for timing sweeps, ``l_values`` for everything else.
+    and K, and the family column reads ``csv``) in ``sweep_mse`` only, and
+    the other runs reject it. ``n_values`` only matters for timing sweeps,
+    ``l_values`` for everything else.
     """
 
     family: str | list = "gaussian"
@@ -388,6 +389,8 @@ def sweep_timing(cfg: ExperimentConfig) -> ResultTable:
     cell runs once after one untimed warm-up; timing covers only the
     placement call, never matrix generation, evaluation, or I/O.
     """
+    if cfg.matrix_csv is not None:
+        raise ValueError("matrix_csv applies to sweep-mse only; timing sweeps generate their matrices")
     rows = []
     for family in cfg.family:
         for n in cfg.n_values:
@@ -506,6 +509,8 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
     the gamma certificate covers; ``cfg.normalize_rows`` does not apply to
     audits.
     """
+    if cfg.matrix_csv is not None:
+        raise ValueError("matrix_csv applies to sweep-mse only; audits generate their matrices")
     rows = []
     for family in cfg.family:
         for trial in range(cfg.trials):

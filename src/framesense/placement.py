@@ -70,8 +70,10 @@ _MAX_SEED = 2**64
 # the best one and takes the lowest index among them (_first_best). The scale
 # follows the rounding of the values compared: the largest squared inner
 # product (framesense's first pair), the largest rounding bound of the
-# remaining rows (its eliminations, see _scores), a condition bound (det),
-# the error trace before the pick (mse), the best ratio (mi), 1 (coherence).
+# remaining rows (its eliminations, see _scores), for det's gains log(1 + q)
+# with q = x^T G^-1 x the largest |x|^2 of the free rows times the largest
+# eigenvalue of G^-1 over 1 + max q, the error trace before the pick (mse),
+# the best ratio (mi), 1 (coherence).
 # It sits far above float64 rounding, so exact ties stay ties; a real gap
 # below it is treated as a tie.
 _TIE_RTOL = 1e-12
@@ -132,7 +134,8 @@ class Selection:
     order is the pick order, for eliminating and random algorithms it is
     ascending. ``eliminated`` preserves elimination order where one exists
     and is ascending otherwise. ``objective_trace`` records the per-step
-    objective; empty for the random picker.
+    objective (the log-determinant gain of each pick for ``greedy_det``);
+    empty for the random picker.
     """
 
     chosen: tuple
@@ -334,33 +337,22 @@ def _best_in(n, num_sensors, objective, minimize=False, start=()) -> Selection:
     return Selection(tuple(chosen), tuple(int(i) for i in free), tuple(trace))
 
 
-def _check_best_in_args(m, num_sensors):
-    n, k = m.shape
-    if not k <= num_sensors <= n:
-        raise ValueError(
-            f"sensor count must lie in [{k}, {n}] for a {n} x {k} matrix, got {num_sensors}"
-        )
-
-
 def greedy_det(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
-    """Best-in greedy maximizing the ridged log determinant of the Gram matrix."""
-    m = as_sensing_matrix(psi)
-    opts = opts or PlacementOptions(algorithm="det")
-    _check_best_in_args(m, num_sensors)
-    ridge = opts.resolved_ridge(m)
-    e = m.entries
+    """Best-in greedy maximizing the ridged log determinant of the Gram matrix.
 
-    def objective(chosen, free):
-        gram = ridge * np.eye(m.k) + e[chosen].T @ e[chosen]
-        values = np.empty(free.size)
-        for pos, i in enumerate(free):
-            sign, logdet = np.linalg.slogdet(gram + np.outer(e[i], e[i]))
-            values[pos] = logdet if sign > 0 else -np.inf
-        # slogdet rounds in proportion to the condition of what it factors
-        lam = np.linalg.eigvalsh(gram)
-        return values, (lam[-1] + float(np.max(m.row_norms[free] ** 2))) / lam[0]
+    Adding row x to Gram matrix G raises that log determinant by
+    ``log(1 + x^T G^-1 x)`` (matrix determinant lemma), scored for every
+    candidate in one eigenbasis of G per step. ``objective_trace`` holds the
+    gain of each pick; ``K * log(ridge)`` plus their sum is the log
+    determinant of the final ridged Gram matrix.
+    """
 
-    return _best_in(m.n, num_sensors, objective)
+    def score(inv, y2):
+        q = y2 @ inv
+        # q rounds in proportion to |x|^2 max(inv); log1p divides that by 1 + q
+        return np.log1p(q), float(y2.sum(axis=1).max() * inv.max() / (1.0 + q.max()))
+
+    return _eigen_best_in(psi, num_sensors, opts, score)
 
 
 def greedy_mse(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
@@ -372,22 +364,37 @@ def greedy_mse(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     the trace until the chosen rows span all K directions, weighs every
     candidate alike instead of rounding differently for each.
     """
+
+    def score(inv, y2):
+        total = float(inv.sum())
+        return total - (y2 @ inv**2) / (1.0 + y2 @ inv), total
+
+    return _eigen_best_in(psi, num_sensors, opts, score, minimize=True)
+
+
+def _eigen_best_in(psi, num_sensors, opts, score, minimize=False) -> Selection:
+    """Best-in loop scored in the eigenbasis of the chosen rows' Gram matrix.
+
+    Each step ``score(inv, y2)`` gets the eigenvalues ``inv`` of the ridged
+    inverse Gram matrix G^-1 of the chosen rows and the squared coordinates
+    ``y2`` of the free rows in its eigenbasis, so x^T G^-1 x = y2 @ inv.
+    """
     m = as_sensing_matrix(psi)
-    opts = opts or PlacementOptions(algorithm="mse")
-    _check_best_in_args(m, num_sensors)
-    ridge = opts.resolved_ridge(m)
+    n, k = m.shape
+    if not k <= num_sensors <= n:
+        raise ValueError(
+            f"sensor count must lie in [{k}, {n}] for a {n} x {k} matrix, got {num_sensors}"
+        )
+    ridge = (opts or PlacementOptions()).resolved_ridge(m)
     e = m.entries
 
     def objective(chosen, free):
         lam, vec = np.linalg.eigh(e[chosen].T @ e[chosen])
         # directions lost by the package's rank rule weigh exactly 1 / ridge
         lam[lam < RANK_RTOL * lam[-1]] = 0.0
-        inv = 1.0 / (ridge + lam)
-        y2 = (e[free] @ vec) ** 2
-        total = float(inv.sum())
-        return total - (y2 @ inv**2) / (1.0 + y2 @ inv), total
+        return score(1.0 / (ridge + lam), (e[free] @ vec) ** 2)
 
-    return _best_in(m.n, num_sensors, objective, minimize=True)
+    return _best_in(n, num_sensors, objective, minimize)
 
 
 def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:

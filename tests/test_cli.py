@@ -76,6 +76,14 @@ class TestPlace:
         proc = run_cli("place", "--gen", "gaussian", "--sensors", "2", check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flag", [("--n", "4"), ("--k", "2"), ("--scale", "2")])
+    def test_matrix_rejects_generator_flags(self, tmp_path, flag):
+        path = tmp_path / "m.csv"
+        save_matrix(path, np.eye(4, 2))
+        proc = run_cli("place", "--matrix", str(path), "--sensors", "2", *flag, check=False)
+        assert proc.returncode == 2
+        assert flag[0] in proc.stderr
+
 
 class TestSweepMseCommand:
     def test_writes_three_files(self, tmp_path):
@@ -106,6 +114,14 @@ class TestSweepTimeCommand:
         ls = {line.split(",")[3] for line in raw[1:]}
         assert ls == {"4", "6"}
 
+    def test_rejects_matrix_csv(self, tmp_path):
+        cfg = write_cfg(tmp_path, n_values=[8], k=3, trials=1, matrix_csv="m.csv")
+        proc = run_cli("sweep-time", "--config", cfg, "--out", str(tmp_path / "t"),
+                       check=False)
+        assert proc.returncode == 2
+        assert "matrix_csv" in proc.stderr
+        assert not (tmp_path / "t_raw.csv").exists()
+
 
 class TestAuditCommand:
     def test_audit_summary_line(self, tmp_path):
@@ -117,6 +133,15 @@ class TestAuditCommand:
         raw = (tmp_path / "a_raw.csv").read_text().splitlines()
         assert len(raw) == 4
 
+    def test_rejects_matrix_csv(self, tmp_path):
+        path = tmp_path / "m.csv"
+        save_matrix(path, generate(GeneratorSpec("bernoulli", 8, 3, seed=2)))
+        cfg = write_cfg(tmp_path, n=8, k=3, l_values=[4], trials=1, matrix_csv=str(path))
+        proc = run_cli("audit", "--config", cfg, "--out", str(tmp_path / "a"), check=False)
+        assert proc.returncode == 2
+        assert "matrix_csv" in proc.stderr
+        assert not (tmp_path / "a_raw.csv").exists()
+
 
 class TestMatgenCommand:
     def test_writes_loadable_csv(self, tmp_path):
@@ -125,6 +150,13 @@ class TestMatgenCommand:
         got = load_matrix(tmp_path / "mat.csv")
         want = generate(GeneratorSpec("bernoulli", 6, 4, seed=11)).entries
         assert np.array_equal(got, want)
+
+    def test_rejects_matrix_csv(self, tmp_path):
+        cfg = write_cfg(tmp_path, family="bernoulli", n=6, k=4, matrix_csv="m.csv")
+        proc = run_cli("matgen", "--config", cfg, "--out", str(tmp_path / "mat"),
+                       check=False)
+        assert proc.returncode == 2
+        assert "matrix_csv" in proc.stderr
 
     def test_rejects_multiple_families(self, tmp_path):
         cfg = write_cfg(tmp_path, family=["gaussian", "bernoulli"], n=6, k=2)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from framesense import (
     run_placement,
 )
 
-from _oracles import best_subset, exact_best_in, exact_framesense, naive_framesense
+from _oracles import (
+    _det_and_inverse,
+    best_subset,
+    exact_best_in,
+    exact_framesense,
+    naive_framesense,
+)
 
 # three basis rows plus a duplicate of the first
 E_DUP = np.array([
@@ -226,6 +233,34 @@ class TestGreedyDet:
 
             wins += logdet(greedy) - logdet(rand)
         assert wins / 100 > 0
+
+    def test_real_gap_is_not_a_tie(self):
+        # after row 0, row 236 raises the log determinant 5.7e-7 more than
+        # row 70 (5e-9 relative): a real gap that no tie band may swallow
+        psi = generate(GeneratorSpec("gaussian_row_normalized", 300, 10, seed=4))
+        ridge = Fraction(PlacementOptions().resolved_ridge(psi))
+        a = [[Fraction(float(v)) for v in row] for row in psi.entries]
+
+        def det_with(i):
+            return _det_and_inverse([
+                [ridge * (r == c) + a[0][r] * a[0][c] + a[i][r] * a[i][c] for c in range(10)]
+                for r in range(10)
+            ])[0]
+
+        assert det_with(236) > det_with(70)
+        assert greedy_det(psi, 10).chosen[:2] == (0, 236)
+
+    def test_trace_holds_log_det_gains(self):
+        for seed in range(10):
+            psi = generate(GeneratorSpec("gaussian", 40, 5, seed=seed)).entries
+            ridge = PlacementOptions().resolved_ridge(psi)
+            sel = greedy_det(psi, 20)
+            gains = np.array(sel.objective_trace)
+            # log det is submodular, so the greedy's gains never increase
+            assert np.all(gains[1:] <= gains[:-1] * (1 + 1e-9)), seed
+            block = psi[list(sel.chosen)]
+            _, want = np.linalg.slogdet(block.T @ block + ridge * np.eye(5))
+            assert 5 * math.log(ridge) + gains.sum() == pytest.approx(want, rel=1e-9), seed
 
 
 class TestGreedyMse:
