@@ -28,10 +28,10 @@ print(mb)
 
 t = gram(mb, everyone)
 print("\nGram matrix of all rows (K x K):")
-print(t.entries)
+print(t)
 
-spectrum = sym_eigenvalues(t.entries)
-print("\neigenvalues:", spectrum.eigenvalues)
+lam = sym_eigenvalues(t)
+print("\neigenvalues:", lam)
 print("both equal L/K = 3/2, the signature of a tight frame")
 
 fp = frame_potential(mb, everyone)
@@ -40,7 +40,6 @@ print(f"\nframe potential: {fp:.6f} (floor for 3 unit rows in 2d: {fp_floor})")
 print(f"mse at sigma^2 = 1: {mse(mb, everyone):.6f} (floor: {mse_floor:.6f})")
 
 # the identity trace(T^2) = sum of squared eigenvalues = FP, checked in place
-lam = spectrum.eigenvalues
 print(f"\nsum lambda_i^2 = {np.sum(lam * lam):.6f} -> same number as the FP")
 
 # dropping a row breaks the eigenvalue tie; the survivors miss the floor
@@ -48,7 +47,7 @@ print(f"\nsum lambda_i^2 = {np.sum(lam * lam):.6f} -> same number as the FP")
 pair = [0, 1]
 pair_floor, pair_mse_floor, _ = untf_reference(len(pair), k)
 print(f"\nkeeping only rows {pair}:")
-print("  eigenvalues:", sym_eigenvalues(gram(mb, pair).entries).eigenvalues)
+print("  eigenvalues:", sym_eigenvalues(gram(mb, pair)))
 print(f"  frame potential: {frame_potential(mb, pair):.6f} (floor for 2 rows: {pair_floor})")
 print(f"  mse: {mse(mb, pair):.6f} (floor: {pair_mse_floor})")
 print("spread-out eigenvalues mean a larger 1/lambda sum, hence worse MSE")

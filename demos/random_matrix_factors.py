@@ -26,7 +26,7 @@ print(f"limiting spectrum support:    [{spectrum_low}, {spectrum_high}]\n")
 rng = np.random.default_rng(0)
 k, l = 50, 200
 psi = rng.normal(size=(l, k)) / np.sqrt(l / k)
-lam = sym_eigenvalues(psi.T @ psi / np.sqrt(k * l)).eigenvalues
+lam = sym_eigenvalues(psi.T @ psi / np.sqrt(k * l))
 print(f"sampled K={k}, L={l}: eigenvalues span [{lam[-1]:.3f}, {lam[0]:.3f}]")
 
 # the eta machinery rests on bracketing the arithmetic-to-harmonic mean

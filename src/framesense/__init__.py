@@ -42,10 +42,8 @@ from .linalg import (
     RANK_RTOL,
     UNBOUNDED,
     ConvergenceError,
-    GramMatrix,
     NoiseModel,
     SensingMatrix,
-    Spectrum,
     as_sensing_matrix,
     coherence,
     frame_potential,
@@ -69,9 +67,7 @@ from .placement import (
     greedy_det,
     greedy_mi,
     greedy_mse,
-    marginal_gain,
     random_placement,
-    row_gram,
     run_placement,
 )
 
@@ -91,7 +87,6 @@ __all__ = [
     "ExperimentConfig",
     "FAMILIES",
     "GeneratorSpec",
-    "GramMatrix",
     "MPScenario",
     "NoiseModel",
     "ORACLE_SUBSET_LIMIT",
@@ -102,7 +97,6 @@ __all__ = [
     "ResultTable",
     "Selection",
     "SensingMatrix",
-    "Spectrum",
     "UNBOUNDED",
     "as_sensing_matrix",
     "coherence",
@@ -121,7 +115,6 @@ __all__ = [
     "l_min_max",
     "least_squares",
     "load_matrix",
-    "marginal_gain",
     "mp_scenario",
     "mp_scenario_report",
     "mse",
@@ -129,7 +122,6 @@ __all__ = [
     "mse_envelope",
     "oracle_audit",
     "random_placement",
-    "row_gram",
     "row_normalize",
     "run_placement",
     "save_matrix",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RANK_RTOL, as_sensing_matrix, frame_potential, gram, sym_eigenvalues
+from .matio import FLOAT_FMT
 
 __all__ = [
     "BOUNDS_CSV_HEADER",
@@ -30,6 +31,7 @@ __all__ = [
     "mse_approx_factor",
     "mse_envelope",
     "mp_scenario",
+    "mp_scenario_report",
     "sharma_interval",
     "untf_reference",
 ]
@@ -110,7 +112,7 @@ def mse_envelope(psi, sel, l_min: float, l_max: float):
     if l_min <= 0.0 or l_max < l_min:
         raise ValueError(f"need 0 < l_min <= l_max, got l_min={l_min}, l_max={l_max}")
     fp_sel = frame_potential(m, sel)
-    lam = sym_eigenvalues(gram(m, sel)).eigenvalues
+    lam = sym_eigenvalues(gram(m, sel))
     largest = float(lam[0])
     smallest = float(lam[-1])
     if largest <= 0.0:
@@ -145,7 +147,7 @@ def delta_bound(psi, num_sensors: int) -> float:
     center = l_mean / m.k
     worst = 0.0
     for sub in combinations(range(m.n), num_sensors):
-        lam = sym_eigenvalues(gram(m, sub)).eigenvalues
+        lam = sym_eigenvalues(gram(m, sub))
         dev = float(np.max(np.abs(lam - center)))
         if dev > worst:
             worst = dev
@@ -249,12 +251,12 @@ def mp_scenario_report(scenario, c2: float | None = None) -> str:
         scenario = MPScenario(float(scenario), float(c2))
     gamma, eta, spectrum_low, spectrum_high = mp_scenario(scenario)
     lines = [
-        f"c1={scenario.c1:.17g}",
-        f"c2={scenario.c2:.17g}",
-        f"gamma={gamma:.17g}",
-        f"eta={eta:.17g}",
-        f"spectrum_low={spectrum_low:.17g}",
-        f"spectrum_high={spectrum_high:.17g}",
+        f"c1={FLOAT_FMT % scenario.c1}",
+        f"c2={FLOAT_FMT % scenario.c2}",
+        f"gamma={FLOAT_FMT % gamma}",
+        f"eta={FLOAT_FMT % eta}",
+        f"spectrum_low={FLOAT_FMT % spectrum_low}",
+        f"spectrum_high={FLOAT_FMT % spectrum_high}",
         "note=eta is the literal product gamma*((1+sqrt(c1))/(1-sqrt(c1)))^4; "
         "at c1=0.25, c2=6 it evaluates to about 1124, not the figure of about 50 "
         "sometimes quoted for this configuration",
@@ -301,23 +303,15 @@ class BoundsReport:
             ("mse_bound_upper", self.mse_bound_upper),
         )
 
-    def to_text(self) -> str:
-        lines = []
+    def _texts(self):
         for name, value in self._fields():
-            if isinstance(value, int):
-                lines.append(f"{name}={value}")
-            else:
-                lines.append(f"{name}={value:.17g}")
-        return "\n".join(lines) + "\n"
+            yield name, str(value) if isinstance(value, int) else FLOAT_FMT % value
+
+    def to_text(self) -> str:
+        return "".join(f"{name}={text}\n" for name, text in self._texts())
 
     def to_csv_row(self) -> str:
-        parts = []
-        for _, value in self._fields():
-            if isinstance(value, int):
-                parts.append(str(value))
-            else:
-                parts.append("%.17g" % value)
-        return ",".join(parts)
+        return ",".join(text for _, text in self._texts())
 
 
 def compute_bounds_report(psi, num_sensors: int, sel, compute_delta: bool = True) -> BoundsReport:

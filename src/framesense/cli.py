@@ -15,7 +15,7 @@ import sys
 from .harness import ExperimentConfig, oracle_audit, sweep_mse, sweep_timing
 from .linalg import as_sensing_matrix, frame_potential, mse
 from .matgen import FAMILIES, GeneratorSpec, generate
-from .matio import load_matrix, save_matrix
+from .matio import FLOAT_FMT, load_matrix, save_matrix
 from .placement import ALGORITHMS, PlacementOptions, run_placement
 
 __all__ = ["main"]
@@ -91,8 +91,8 @@ def _cmd_place(args) -> int:
     selection = run_placement(matrix, args.sensors, opts)
     chosen = sorted(selection.chosen)
     print("chosen:", " ".join(str(i + 1) for i in chosen))
-    print("fp: %.17g" % frame_potential(matrix, chosen))
-    print("mse: %.17g" % mse(matrix, chosen, args.sigma2))
+    print("fp:", FLOAT_FMT % frame_potential(matrix, chosen))
+    print("mse:", FLOAT_FMT % mse(matrix, chosen, args.sigma2))
     return 0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import BOUNDS_CSV_HEADER, BoundsReport, compute_bounds_report
 from .linalg import as_sensing_matrix, frame_potential, mse
 from .matgen import FAMILIES, GeneratorSpec, generate
-from .matio import load_matrix
+from .matio import FLOAT_FMT, load_matrix
 from .placement import ALGORITHMS, ORACLE_SUBSET_LIMIT, PlacementOptions, exhaustive_oracle, run_placement
 from .seeding import derive_seed
 
@@ -49,8 +49,6 @@ AUDIT_CSV_HEADER = (
     + BOUNDS_CSV_HEADER
     + ",fp_greedy,fp_opt,mse_greedy,mse_opt,fp_within_gamma,mse_within_bounds,status"
 )
-
-_FMT = "%.17g"
 
 
 @dataclass
@@ -152,9 +150,9 @@ class RawRow:
                 self.algorithm,
                 str(self.trial),
                 str(self.seed),
-                _FMT % self.mse,
-                _FMT % self.fp,
-                _FMT % self.wall_time_seconds,
+                FLOAT_FMT % self.mse,
+                FLOAT_FMT % self.fp,
+                FLOAT_FMT % self.wall_time_seconds,
             ]
         )
 
@@ -184,13 +182,13 @@ class AggRow:
                 str(self.l),
                 self.algorithm,
                 str(self.trials),
-                _FMT % self.mse_mean,
-                _FMT % self.mse_std,
+                FLOAT_FMT % self.mse_mean,
+                FLOAT_FMT % self.mse_std,
                 str(self.mse_unbounded),
-                _FMT % self.fp_mean,
-                _FMT % self.fp_std,
-                _FMT % self.time_mean,
-                _FMT % self.time_std,
+                FLOAT_FMT % self.fp_mean,
+                FLOAT_FMT % self.fp_std,
+                FLOAT_FMT % self.time_mean,
+                FLOAT_FMT % self.time_std,
             ]
         )
 
@@ -290,7 +288,7 @@ class ResultTable:
                 x = getattr(row, xfield)
                 y = getattr(row, yfield)
                 err = getattr(row, errfield)
-                lines.append(f"{x},{_FMT % y},{_FMT % err}")
+                lines.append(f"{x},{FLOAT_FMT % y},{FLOAT_FMT % err}")
             lines.append("EOD")
         plots = ", ".join(
             f"{block} using 1:2:3 with yerrorlines title '{label}'" for block, label in names
@@ -437,10 +435,10 @@ class AuditRow:
                 str(self.trial),
                 str(self.seed),
                 self.report.to_csv_row(),
-                _FMT % self.fp_greedy,
-                _FMT % self.fp_opt,
-                _FMT % self.mse_greedy,
-                _FMT % self.mse_opt,
+                FLOAT_FMT % self.fp_greedy,
+                FLOAT_FMT % self.fp_opt,
+                FLOAT_FMT % self.mse_greedy,
+                FLOAT_FMT % self.mse_opt,
                 flag(self.fp_within_gamma),
                 flag(self.mse_within_bounds),
                 self.status,
@@ -487,8 +485,8 @@ class AuditTable:
                         str(info["skipped"]),
                         str(info["fp_pass"]),
                         str(info["mse_pass"]),
-                        _FMT % info["max_fp_ratio"],
-                        _FMT % info["mean_fp_ratio"],
+                        FLOAT_FMT % info["max_fp_ratio"],
+                        FLOAT_FMT % info["mean_fp_ratio"],
                     ]
                 )
                 + "\n"

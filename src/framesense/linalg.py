@@ -16,11 +16,9 @@ import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "GramMatrix",
     "NoiseModel",
     "RANK_RTOL",
     "SensingMatrix",
-    "Spectrum",
     "UNBOUNDED",
     "as_sensing_matrix",
     "coherence",
@@ -88,12 +86,6 @@ class SensingMatrix:
     def shape(self) -> tuple[int, int]:
         return self._entries.shape
 
-    def row(self, i: int) -> np.ndarray:
-        """Row i as a read-only length-K vector."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"row index {i} out of range for {self.n} rows")
-        return self._entries[i]
-
     @property
     def row_norms(self) -> np.ndarray:
         """Euclidean norm of every row, cached after the first call."""
@@ -114,46 +106,6 @@ def as_sensing_matrix(psi) -> SensingMatrix:
     return SensingMatrix(psi)
 
 
-class GramMatrix:
-    """Symmetric K x K product of a selected row block with itself.
-
-    Symmetry is exact by construction: the upper triangle of the input is
-    taken as authoritative and mirrored, so ``entries[i, j] == entries[j, i]``
-    holds bitwise. Inputs that are not symmetric to within a loose tolerance
-    are rejected as caller errors.
-    """
-
-    def __init__(self, entries):
-        a = np.array(entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"gram matrix must be square, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("gram matrix entries must all be finite")
-        scale = 1.0 + float(np.abs(a).max(initial=0.0))
-        if float(np.abs(a - a.T).max(initial=0.0)) > 1e-8 * scale:
-            raise ValueError("gram matrix input is not symmetric")
-        upper = np.triu(a)
-        sym = upper + upper.T
-        sym[np.diag_indices_from(sym)] = np.diag(a)
-        sym.setflags(write=False)
-        self._entries = sym
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
-
-    @property
-    def order(self) -> int:
-        return self._entries.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self._entries))
-
-    def __repr__(self):
-        return f"GramMatrix(order={self.order})"
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """I.i.d. zero-mean measurement noise with common variance sigma2."""
@@ -163,35 +115,6 @@ class NoiseModel:
     def __post_init__(self):
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a Gram matrix, sorted descending, plus summary stats.
-
-    ``harmonic_mean`` is NaN when any eigenvalue is nonpositive, since the
-    harmonic mean is only meaningful for a positive spectrum. ``std_dev``
-    uses the population convention (divide by K).
-    """
-
-    eigenvalues: np.ndarray
-    harmonic_mean: float
-    arithmetic_mean: float
-    std_dev: float
-    smallest: float
-    largest: float
-
-    @classmethod
-    def from_eigenvalues(cls, values) -> "Spectrum":
-        lam = np.sort(np.asarray(values, dtype=np.float64))[::-1].copy()
-        lam.setflags(write=False)
-        mean = float(lam.mean())
-        std = float(np.sqrt(np.mean((lam - mean) ** 2)))
-        if lam.size and np.all(lam > 0.0):
-            harmonic = float(lam.size / np.sum(1.0 / lam))
-        else:
-            harmonic = math.nan
-        return cls(lam, harmonic, mean, std, float(lam[-1]), float(lam[0]))
 
 
 def _selection_indices(sel, n: int) -> np.ndarray:
@@ -207,7 +130,7 @@ def _selection_indices(sel, n: int) -> np.ndarray:
     return idx
 
 
-def gram(psi, sel) -> GramMatrix:
+def gram(psi, sel) -> np.ndarray:
     """Gram matrix of the selected rows.
 
     Parameters
@@ -219,16 +142,15 @@ def gram(psi, sel) -> GramMatrix:
 
     Returns
     -------
-    GramMatrix
-        The K x K matrix ``Psi_sel.T @ Psi_sel`` with exact symmetry.
+    numpy.ndarray
+        The K x K float64 array ``Psi_sel.T @ Psi_sel``.
     """
     m = as_sensing_matrix(psi)
-    idx = _selection_indices(sel, m.n)
-    block = m.entries[idx]
-    return GramMatrix(block.T @ block)
+    block = m.entries[_selection_indices(sel, m.n)]
+    return block.T @ block
 
 
-def sym_eigenvalues(t) -> Spectrum:
+def sym_eigenvalues(t) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by LAPACK (``numpy.linalg.eigvalsh``).
 
     Only eigenvalues are produced, no vectors. A LAPACK convergence failure
@@ -236,20 +158,29 @@ def sym_eigenvalues(t) -> Spectrum:
 
     Parameters
     ----------
-    t : GramMatrix or array_like
-        Real symmetric matrix.
+    t : array_like
+        Real square matrix, finite and symmetric to within
+        ``1e-8 * (1 + max|t|)``; anything else raises ValueError.
 
     Returns
     -------
-    Spectrum
-        Eigenvalues sorted descending with summary statistics.
+    numpy.ndarray
+        Read-only 1-D float64 array of the eigenvalues, sorted descending.
     """
-    g = t if isinstance(t, GramMatrix) else GramMatrix(t)
+    a = np.asarray(t, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must all be finite")
+    scale = 1.0 + float(np.abs(a).max(initial=0.0))
+    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-8 * scale:
+        raise ValueError("matrix is not symmetric")
     try:
-        lam = np.linalg.eigvalsh(g.entries)
+        lam = np.linalg.eigvalsh(a)[::-1]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue computation did not converge: {exc}") from exc
-    return Spectrum.from_eigenvalues(lam)
+    lam.setflags(write=False)
+    return lam
 
 
 def frame_potential(psi, sel=None) -> float:
@@ -297,7 +228,7 @@ def mse(psi, sel, noise=1.0) -> float:
         Noise variance, default 1.0.
     """
     sigma2 = _sigma2(noise)
-    lam = sym_eigenvalues(gram(psi, sel)).eigenvalues
+    lam = sym_eigenvalues(gram(psi, sel))
     if lam[0] <= 0.0 or np.any(lam < RANK_RTOL * lam[0]):
         return UNBOUNDED
     return sigma2 * float(np.sum(1.0 / lam))

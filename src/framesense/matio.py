@@ -11,14 +11,9 @@ import numpy as np
 
 from .linalg import SensingMatrix
 
-__all__ = ["FLOAT_FMT", "format_float", "load_matrix", "save_matrix"]
+__all__ = ["FLOAT_FMT", "load_matrix", "save_matrix"]
 
 FLOAT_FMT = "%.17g"
-
-
-def format_float(value: float) -> str:
-    """Render a float with enough digits to round-trip exactly."""
-    return FLOAT_FMT % value
 
 
 def save_matrix(path, matrix) -> None:

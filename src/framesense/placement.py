@@ -42,9 +42,7 @@ __all__ = [
     "greedy_det",
     "greedy_mi",
     "greedy_mse",
-    "marginal_gain",
     "random_placement",
-    "row_gram",
     "run_placement",
 ]
 
@@ -152,28 +150,6 @@ class Selection:
             raise ValueError("chosen and eliminated sets overlap")
         if chosen | eliminated != set(range(n)):
             raise ValueError("chosen and eliminated must partition the row indices")
-
-
-def row_gram(psi) -> np.ndarray:
-    """N x N table of inner products between all candidate rows."""
-    m = as_sensing_matrix(psi)
-    return m.entries @ m.entries.T
-
-
-def marginal_gain(rowgram, remaining, i: int) -> float:
-    """Drop in frame potential caused by removing row ``i`` from ``remaining``.
-
-    Equals twice the sum of squared inner products between row ``i`` and the
-    other remaining rows, plus its squared diagonal entry.
-    """
-    g = np.asarray(rowgram, dtype=np.float64)
-    rem = {int(x) for x in remaining}
-    i = int(i)
-    if i not in rem:
-        raise ValueError(f"row {i} is not in the remaining set")
-    others = np.fromiter((n for n in rem if n != i), dtype=np.int64, count=len(rem) - 1)
-    cross = g[others, i] if others.size else np.zeros(0)
-    return 2.0 * float(cross @ cross) + float(g[i, i]) ** 2
 
 
 def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:

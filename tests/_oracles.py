@@ -80,6 +80,29 @@ def frame_potential_oracle(psi, selected):
     return acc
 
 
+def row_gram(psi):
+    """N x N table of inner products between all candidate rows."""
+    psi = np.asarray(psi, dtype=float)
+    return psi @ psi.T
+
+
+def marginal_gain(rowgram, remaining, i):
+    """Drop in frame potential caused by removing row ``i`` from ``remaining``.
+
+    Equals twice the sum of squared inner products between row ``i`` and the
+    other remaining rows, plus its squared diagonal entry, read off the full
+    table from :func:`row_gram`.
+    """
+    g = np.asarray(rowgram, dtype=float)
+    rem = {int(x) for x in remaining}
+    i = int(i)
+    if i not in rem:
+        raise ValueError(f"row {i} is not in the remaining set")
+    others = np.fromiter((n for n in rem if n != i), dtype=np.int64, count=len(rem) - 1)
+    cross = g[others, i] if others.size else np.zeros(0)
+    return 2.0 * float(cross @ cross) + float(g[i, i]) ** 2
+
+
 def naive_framesense(psi, num_sensors, normalize_rows=True):
     """Worst-out greedy that recomputes FP from scratch for every candidate.
 

@@ -165,7 +165,7 @@ class TestDeltaBound:
         psi = np.diag([1.0, 2.0])
         _, _, l_mean = l_min_max(psi, 2)
         center = l_mean / 2
-        lam = sym_eigenvalues(gram(psi, (0, 1))).eigenvalues
+        lam = sym_eigenvalues(gram(psi, (0, 1)))
         want = float(np.max(np.abs(lam - center)))
         assert delta_bound(psi, 2) == pytest.approx(want, rel=1e-12)
 
@@ -178,7 +178,7 @@ class TestDeltaBound:
         center = l_mean / 2
         hit = 0
         for sub in itertools.combinations(range(8), 4):
-            lam = sym_eigenvalues(gram(psi, sub)).eigenvalues
+            lam = sym_eigenvalues(gram(psi, sub))
             dev = float(np.max(np.abs(lam - center)))
             assert dev <= delta + 1e-15
             if dev > delta - 1e-9:

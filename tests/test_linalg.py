@@ -7,11 +7,9 @@ import pytest
 
 from framesense import (
     ConvergenceError,
-    GramMatrix,
     NoiseModel,
     RANK_RTOL,
     SensingMatrix,
-    Spectrum,
     UNBOUNDED,
     as_sensing_matrix,
     coherence,
@@ -57,7 +55,6 @@ class TestSensingMatrix:
         assert m.n == 3
         assert m.k == 2
         assert m.shape == (3, 2)
-        assert np.allclose(m.row(1), [3.0, 4.0])
         assert np.allclose(m.row_norms, [math.sqrt(5), 5.0, math.sqrt(61)])
 
     def test_entries_are_immutable(self):
@@ -85,11 +82,6 @@ class TestSensingMatrix:
         with pytest.raises(ValueError):
             SensingMatrix([[np.inf, 1.0]])
 
-    def test_row_out_of_range(self):
-        m = SensingMatrix([[1.0, 2.0]])
-        with pytest.raises(IndexError):
-            m.row(1)
-
     def test_as_sensing_matrix_passthrough(self):
         m = SensingMatrix([[1.0, 2.0]])
         assert as_sensing_matrix(m) is m
@@ -98,34 +90,51 @@ class TestSensingMatrix:
 
 
 class TestGramMatrix:
-    def test_mirrors_upper_triangle_bitwise(self):
-        # tiny asymmetry below the guard must be repaired exactly
-        a = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
-        g = GramMatrix(a)
-        assert g.entries[0, 1] == g.entries[1, 0]
-        assert g.entries[0, 1] == 1.0
+    """Gram matrices are plain arrays: what gram returns, what sym_eigenvalues takes."""
+
+    def test_gram_is_the_block_product_bitwise(self):
+        rng = np.random.default_rng(21)
+        psi = rng.normal(size=(40, 7))
+        sel = [31, 2, 17, 8, 39, 0, 23, 11, 5]
+        block = psi[sel]
+        g = gram(psi, sel)
+        assert isinstance(g, np.ndarray)
+        assert g.shape == (7, 7)
+        assert np.array_equal(g, block.T @ block)
+        assert np.array_equal(g, g.T)
 
     def test_rejects_gross_asymmetry(self):
         with pytest.raises(ValueError):
-            GramMatrix([[1.0, 0.5], [0.0, 1.0]])
+            sym_eigenvalues([[1.0, 0.5], [0.0, 1.0]])
+
+    def test_accepts_asymmetry_within_guard(self):
+        lam = sym_eigenvalues([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
+        assert np.allclose(lam, [3.0, 1.0])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            GramMatrix(np.ones((2, 3)))
+            sym_eigenvalues(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            sym_eigenvalues(np.ones(3))
 
-    def test_trace(self):
-        assert GramMatrix([[2.0, 1.0], [1.0, 3.0]]).trace == 5.0
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        # a ValueError, not the ConvergenceError that LAPACK would lead to
+        t = np.eye(3)
+        t[1, 2] = t[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sym_eigenvalues(t)
 
 
 def test_gram_small_example():
     psi = [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     g = gram(psi, (0, 1, 2))
-    assert np.allclose(g.entries, [[2.0, 1.0], [1.0, 2.0]])
+    assert np.allclose(g, [[2.0, 1.0], [1.0, 2.0]])
 
 
 def test_gram_matches_triple_loop_oracle():
     expected = gram_oracle(PSI6, SEL6)
-    got = gram(PSI6, SEL6).entries
+    got = gram(PSI6, SEL6)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -143,23 +152,23 @@ def test_gram_selection_errors():
 
 class TestEigenvalues:
     def test_two_by_two_analytic(self):
-        spec = sym_eigenvalues([[2.0, 1.0], [1.0, 2.0]])
-        assert np.allclose(spec.eigenvalues, [3.0, 1.0])
+        lam = sym_eigenvalues([[2.0, 1.0], [1.0, 2.0]])
+        assert np.allclose(lam, [3.0, 1.0])
 
     def test_scaled_identity(self):
-        spec = sym_eigenvalues(7.5 * np.eye(5))
-        assert np.allclose(spec.eigenvalues, 7.5)
+        lam = sym_eigenvalues(7.5 * np.eye(5))
+        assert np.allclose(lam, 7.5)
 
     def test_frozen_bisection_values(self):
-        spec = sym_eigenvalues(SYM4)
-        assert np.max(np.abs(spec.eigenvalues - np.array(SYM4_EIGS))) < 1e-8
+        lam = sym_eigenvalues(SYM4)
+        assert np.max(np.abs(lam - np.array(SYM4_EIGS))) < 1e-8
 
     def test_oracle_agreement_random(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             a = rng.normal(size=(4, 4))
             t = a + a.T
-            got = sym_eigenvalues(t).eigenvalues
+            got = sym_eigenvalues(t)
             want = eig_oracle(t)
             assert np.max(np.abs(got - want)) < 1e-8
 
@@ -168,21 +177,35 @@ class TestEigenvalues:
         for k in (2, 5, 10, 25):
             a = rng.normal(size=(k, k))
             t = a @ a.T
-            got = sym_eigenvalues(t).eigenvalues
+            got = sym_eigenvalues(t)
             want = np.sort(np.linalg.eigvalsh(t))[::-1]
             assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + abs(want[0]))
 
     def test_descending_order(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(6, 6))
-        lam = sym_eigenvalues(a + a.T).eigenvalues
+        lam = sym_eigenvalues(a + a.T)
         assert np.all(np.diff(lam) <= 0)
 
+    def test_descending_lapack_values_bitwise(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(8, 5))
+        t = a.T @ a
+        lam = sym_eigenvalues(t)
+        assert lam.ndim == 1
+        assert lam.dtype == np.float64
+        assert np.array_equal(lam, np.linalg.eigvalsh(t)[::-1])
+
+    def test_result_is_read_only(self):
+        lam = sym_eigenvalues(np.eye(3))
+        with pytest.raises(ValueError):
+            lam[0] = 2.0
+
     def test_one_by_one(self):
-        assert sym_eigenvalues([[4.0]]).eigenvalues[0] == 4.0
+        assert sym_eigenvalues([[4.0]])[0] == 4.0
 
     def test_zero_matrix(self):
-        assert np.all(sym_eigenvalues(np.zeros((3, 3))).eigenvalues == 0.0)
+        assert np.all(sym_eigenvalues(np.zeros((3, 3))) == 0.0)
 
     def test_convergence_error_is_runtime_error(self):
         assert issubclass(ConvergenceError, RuntimeError)
@@ -194,20 +217,6 @@ class TestEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(ConvergenceError):
             sym_eigenvalues(np.eye(2))
-
-
-class TestSpectrum:
-    def test_summary_stats(self):
-        spec = Spectrum.from_eigenvalues([1.0, 4.0, 4.0])
-        assert spec.largest == 4.0
-        assert spec.smallest == 1.0
-        assert spec.arithmetic_mean == 3.0
-        assert spec.harmonic_mean == pytest.approx(3.0 / 1.5)
-        assert spec.std_dev == pytest.approx(math.sqrt(2.0))
-
-    def test_harmonic_mean_nan_when_nonpositive(self):
-        assert math.isnan(Spectrum.from_eigenvalues([2.0, 0.0]).harmonic_mean)
-        assert math.isnan(Spectrum.from_eigenvalues([2.0, -1.0]).harmonic_mean)
 
 
 class TestFramePotential:
@@ -234,7 +243,7 @@ class TestFramePotential:
             )
 
     def test_spectral_identity(self):
-        lam = sym_eigenvalues(gram(PSI6, SEL6)).eigenvalues
+        lam = sym_eigenvalues(gram(PSI6, SEL6))
         fp = frame_potential(PSI6, SEL6)
         assert abs(fp - float(np.sum(lam**2))) <= 1e-8 * fp
 

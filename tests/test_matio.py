@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from framesense import SensingMatrix, load_matrix, save_matrix
-from framesense.matio import FLOAT_FMT, format_float
+from framesense.matio import FLOAT_FMT
 
 
 def test_roundtrip_is_bitwise(tmp_path):
+    assert FLOAT_FMT == "%.17g"
     rng = np.random.default_rng(14)
     src = rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-8, 8, size=(5, 3))
     path = tmp_path / "m.csv"
@@ -66,9 +67,3 @@ def test_empty_file_rejected(tmp_path):
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         load_matrix(tmp_path / "absent.csv")
-
-
-def test_format_float_round_trips():
-    for v in (0.1, 1.0 / 3.0, 2.0**-52, 1e17 + 1.0):
-        assert float(format_float(v)) == v
-    assert FLOAT_FMT == "%.17g"

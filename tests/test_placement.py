@@ -21,10 +21,8 @@ from framesense import (
     greedy_det,
     greedy_mi,
     greedy_mse,
-    marginal_gain,
     mse,
     random_placement,
-    row_gram,
     run_placement,
 )
 
@@ -33,7 +31,9 @@ from _oracles import (
     best_subset,
     exact_best_in,
     exact_framesense,
+    marginal_gain,
     naive_framesense,
+    row_gram,
 )
 
 # three basis rows plus a duplicate of the first
