@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ExperimentConfig, oracle_audit, sweep_mse, sweep_timing
+# The harness, and the bounds and thread pool it pulls in, is imported only
+# by the commands that run it, so a ``place`` process never loads them.
 from .linalg import as_sensing_matrix, frame_potential, mse
 from .matgen import FAMILIES, GeneratorSpec, generate
 from .matio import FLOAT_FMT, load_matrix, save_matrix
@@ -59,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args):
+    from .harness import ExperimentConfig
+
     cfg = ExperimentConfig.from_json(args.config)
     threads = getattr(args, "threads", None)
     if threads is not None:
@@ -97,6 +100,8 @@ def _cmd_place(args) -> int:
 
 
 def _cmd_sweep_mse(args) -> int:
+    from .harness import sweep_mse
+
     table = sweep_mse(_load_config(args))
     for path in table.write(args.out):
         print("wrote", path)
@@ -104,6 +109,8 @@ def _cmd_sweep_mse(args) -> int:
 
 
 def _cmd_sweep_time(args) -> int:
+    from .harness import sweep_timing
+
     table = sweep_timing(_load_config(args))
     for path in table.write(args.out):
         print("wrote", path)
@@ -111,6 +118,8 @@ def _cmd_sweep_time(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .harness import ExperimentConfig, oracle_audit
+
     table = oracle_audit(ExperimentConfig.from_json(args.config))
     for path in table.write(args.out):
         print("wrote", path)
@@ -123,6 +132,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_matgen(args) -> int:
+    from .harness import ExperimentConfig
+
     cfg = ExperimentConfig.from_json(args.config)
     if cfg.matrix_csv is not None:
         raise ValueError("matrix_csv applies to sweep-mse only; matgen generates its matrix")

@@ -125,7 +125,9 @@ def _selection_indices(sel, n: int) -> np.ndarray:
         raise ValueError("selection must contain at least one row index")
     if np.any((idx < 0) | (idx >= n)):
         raise IndexError(f"selection index out of range for {n} rows")
-    if np.unique(idx).size != idx.size:
+    # a set, not np.unique, which imports numpy.ma on first use and costs
+    # more per call on the few-row selections that audits enumerate
+    if len(set(idx.tolist())) != idx.size:
         raise ValueError("selection contains duplicate row indices")
     return idx
 

@@ -15,6 +15,9 @@ __all__ = ["FLOAT_FMT", "load_matrix", "save_matrix"]
 
 FLOAT_FMT = "%.17g"
 
+# ASCII information separators: whitespace to numpy's number parser, not to float().
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
 
 def save_matrix(path, matrix) -> None:
     """Write a matrix to ``path`` in the plain CSV format."""
@@ -36,9 +39,19 @@ def load_matrix(path) -> np.ndarray:
     Blank lines are ignored. Ragged rows and unparsable entries raise
     ValueError naming the offending line number.
     """
-    rows = []
-    width = None
     with open(path, "r", encoding="ascii") as fh:
+        # numpy parses each field as float() does, in C. Every file it
+        # refuses goes to the line scanner below, which decides what float()
+        # accepts and names the line of an error.
+        if _numpy_reads_like_float(fh):
+            fh.seek(0)
+            try:
+                return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+        fh.seek(0)
+        rows = []
+        width = None
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -59,3 +72,16 @@ def load_matrix(path) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: no matrix rows found")
     return np.array(rows, dtype=np.float64)
+
+
+def _numpy_reads_like_float(fh) -> bool:
+    """Whether ``np.loadtxt`` can only agree with the line scanner on ``fh``.
+
+    numpy takes the ASCII information separators, which float() rejects,
+    for whitespace, and warns instead of failing on a file without rows.
+    """
+    try:
+        text = fh.read()
+    except UnicodeDecodeError:
+        return False
+    return bool(text) and not text.isspace() and not any(c in text for c in _SEPARATORS)

@@ -14,9 +14,9 @@ and exhaustive search) share the same Selection record so sweeps can treat
 them interchangeably.
 
 Every scan follows one tie rule: values within a rounding bound of the best
-count as tied, and the lowest row index among them wins. Reported objectives
-always refer to the original matrix even when selection itself runs on a
-row-normalized copy.
+count as tied, and the lowest row index among them wins. The main
+algorithm's objective trace refers to the matrix the selection ran on, the
+row-normalized copy by default.
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ class Selection:
     order is the pick order, for eliminating and random algorithms it is
     ascending. ``eliminated`` preserves elimination order where one exists
     and is ascending otherwise. ``objective_trace`` records the per-step
-    objective (the log-determinant gain of each pick for ``greedy_det``);
-    empty for the random picker.
+    objective (the frame-potential drop of each elimination for
+    ``framesense``, the log-determinant gain of each pick for
+    ``greedy_det``); empty for the random picker.
     """
 
     chosen: tuple
@@ -175,14 +176,15 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
         Number of rows to keep; must satisfy K <= num_sensors <= N - 2.
     opts : PlacementOptions, optional
         ``normalize_rows`` (default on) runs the selection on a unit-norm
-        copy; the objective trace still reports frame potentials of the
-        original matrix.
+        copy.
 
     Returns
     -------
     Selection
-        ``chosen`` ascending, ``eliminated`` in elimination order, and one
-        objective value per elimination.
+        ``chosen`` ascending, ``eliminated`` in elimination order, and as
+        ``objective_trace`` the gain of each elimination: the drop in frame
+        potential of the remaining rows of the matrix the selection ran on
+        (the unit-norm copy when rows are normalized).
     """
     m = as_sensing_matrix(psi)
     opts = opts or PlacementOptions()
@@ -201,7 +203,12 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     # diag2 on remaining rows, -inf on eliminated ones, so 2 * score + live
     # is the gain of every remaining row and never selects a gone one.
     live = diag2.copy()
-    live[eliminated] = -np.inf
+    trace = []
+    for r in eliminated:
+        # the pair's gains, each against the rows left after its elimination
+        live[r] = -np.inf
+        cross = (w @ w[r]) ** 2
+        trace.append(float(2.0 * cross[live > -np.inf].sum() + diag2[r]))
     score, bound = _scores(w, live, diag2)
     fresh = None
 
@@ -219,12 +226,13 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
             continue
         r = _first_best(gains, err)
         eliminated.append(r)
+        trace.append(float(gains[r]))
         live[r] = -np.inf
         bound[r] = -np.inf
         score -= (w @ w[r]) ** 2
 
     chosen = tuple(int(i) for i in np.flatnonzero(live > -np.inf))
-    return Selection(chosen, tuple(eliminated), _elimination_trace(m, eliminated))
+    return Selection(chosen, tuple(eliminated), tuple(trace))
 
 
 def _scores(w, live, diag2):
@@ -278,21 +286,6 @@ def _first_best(values, scale) -> int:
     return int(np.argmax(values >= values.max() - _TIE_RTOL * scale))
 
 
-def _elimination_trace(m, eliminated) -> tuple:
-    """Frame potential of the surviving original rows after each elimination.
-
-    Uses FP = |T_R|_F^2 for the K x K frame operator T_R of the survivors,
-    downdated by one outer product per eliminated row.
-    """
-    e = m.entries
-    t = e.T @ e
-    trace = []
-    for r in eliminated:
-        t -= np.outer(e[r], e[r])
-        trace.append(float(np.sum(t * t)))
-    return tuple(trace)
-
-
 def _best_in(n, num_sensors, objective, minimize=False, start=()) -> Selection:
     """Add rows to ``start``, best first, until ``num_sensors`` are chosen.
 
@@ -303,7 +296,10 @@ def _best_in(n, num_sensors, objective, minimize=False, start=()) -> Selection:
     """
     chosen = list(start)
     trace = []
-    free = np.setdiff1d(np.arange(n), chosen)
+    # a mask, not np.setdiff1d, which imports numpy.ma on first use
+    taken = np.zeros(n, dtype=bool)
+    taken[chosen] = True
+    free = np.flatnonzero(~taken)
     while len(chosen) < num_sensors:
         values, scale = objective(chosen, free)
         pos = _first_best(-values if minimize else values, scale)

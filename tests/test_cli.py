@@ -1,6 +1,7 @@
 """Command line interface, exercised through real subprocesses."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,14 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framesense import generate, GeneratorSpec, load_matrix, save_matrix
+from framesense import FAMILIES, generate, GeneratorSpec, load_matrix, save_matrix
 
 
-def run_cli(*args, check=True):
+def run_cli(*args, check=True, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "framesense", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -60,6 +62,19 @@ class TestPlace:
         args = ("place", "--gen", "bernoulli", "--n", "10", "--k", "3",
                 "--sensors", "5", "--algo", "det", "--seed", "3")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_output_bytes_identical_under_one_and_two_blas_threads(self, family):
+        # 300 x 10 puts framesense's block products on shapes where threaded
+        # OpenBLAS splits the work
+        args = ["place", "--gen", family, "--n", "300", "--k", "10", "--sensors", "150"]
+        if family == "stacked_scaled":
+            args += ["--scale", "4"]
+        outs = [
+            run_cli(*args, env=dict(os.environ, OPENBLAS_NUM_THREADS=t, OMP_NUM_THREADS=t)).stdout
+            for t in ("1", "2")
+        ]
+        assert outs[0] == outs[1]
 
     def test_bad_sensor_count_exits_2(self):
         proc = run_cli("place", "--gen", "gaussian", "--n", "8", "--k", "3",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from framesense import SensingMatrix, load_matrix, save_matrix
 from framesense.matio import FLOAT_FMT
@@ -67,3 +69,68 @@ def test_empty_file_rejected(tmp_path):
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         load_matrix(tmp_path / "absent.csv")
+
+
+# float64 bit patterns, weighted toward +-0, subnormals and the extremes
+_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 1 << 63, 1, (1 << 52) - 1, (1 << 63) | 1, 1 << 52, 0x7FEFFFFFFFFFFFFF]),
+    st.integers(1, (1 << 52) - 1).map(lambda m: m | (1 << 63)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5), k=st.integers(1, 5), data=st.data())
+def test_random_bit_patterns_roundtrip_bitwise(tmp_path_factory, n, k, data):
+    bits = np.array(data.draw(st.lists(_BITS, min_size=n * k, max_size=n * k)), dtype=np.uint64)
+    src = bits.view(np.float64).reshape(n, k)
+    assume(np.isfinite(src).all())
+    path = tmp_path_factory.mktemp("bits") / "m.csv"
+    save_matrix(path, src)
+    back = load_matrix(path)
+    assert back.dtype == np.float64 and back.shape == (n, k)
+    assert np.array_equal(back.view(np.uint64), src.view(np.uint64))
+    # and each value is what float() makes of its field
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert back.tolist() == [[float(v) for v in line.split(",")] for line in lines]
+
+
+def _load_error(path, text):
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(ValueError) as info:
+        load_matrix(path)
+    return str(info.value)
+
+
+def test_hash_inside_a_field_is_a_parse_error(tmp_path):
+    path = tmp_path / "m.csv"
+    assert _load_error(path, "1,2\n3,#4\n") == f"{path}: line 2: could not parse a value in '3,#4'"
+    assert _load_error(path, "# 1,2\n3,4\n") == f"{path}: line 1: could not parse a value in '# 1,2'"
+
+
+def test_empty_field_is_a_parse_error(tmp_path):
+    path = tmp_path / "m.csv"
+    assert _load_error(path, "1,2,3\n4,,6\n") == f"{path}: line 2: could not parse a value in '4,,6'"
+
+
+def test_trailing_comma_names_its_line(tmp_path):
+    path = tmp_path / "m.csv"
+    assert _load_error(path, "1,2\n3,4,\n") == f"{path}: line 2: expected 2 values, got 3"
+    assert _load_error(path, "1,2,\n3,4,\n") == f"{path}: line 1: could not parse a value in '1,2,'"
+
+
+def test_whitespace_only_lines_are_skipped_and_counted(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n \t \n3,4\n\x0c\n", encoding="ascii")
+    assert np.array_equal(load_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+    assert _load_error(path, "1,2\n  \n3\n") == f"{path}: line 3: expected 2 values, got 1"
+    assert _load_error(path, " \t\n\n") == f"{path}: no matrix rows found"
+
+
+def test_fields_read_as_float_reads_them(tmp_path):
+    path = tmp_path / "m.csv"
+    # float() takes underscores between digits and surrounding spaces
+    path.write_text(" 1_0 , 2.5\n-inf,3\n", encoding="ascii")
+    assert load_matrix(path).tolist() == [[10.0, 2.5], [-np.inf, 3.0]]
+    # information separators, which float() does not strip, stay errors
+    assert _load_error(path, "1,\x1c2\n") == f"{path}: line 1: could not parse a value in '1,\\x1c2'"

@@ -23,6 +23,7 @@ from framesense import (
     greedy_mse,
     mse,
     random_placement,
+    row_normalize,
     run_placement,
 )
 
@@ -31,6 +32,7 @@ from _oracles import (
     best_subset,
     exact_best_in,
     exact_framesense,
+    frame_potential_oracle,
     marginal_gain,
     naive_framesense,
     row_gram,
@@ -106,14 +108,28 @@ class TestFramesense:
         fast = framesense(psi, 1, PlacementOptions(normalize_rows=False))
         assert list(fast.eliminated) == naive_framesense(psi, 1, normalize_rows=False)
 
-    def test_objective_trace_reports_original_matrix(self):
-        rng = np.random.default_rng(2)
-        psi = rng.normal(size=(8, 3)) * rng.uniform(0.5, 3.0, size=(8, 1))
-        sel = framesense(psi, 3)
-        alive = list(range(8))
-        for r, fp in zip(sel.eliminated, sel.objective_trace):
-            alive.remove(r)
-            assert fp == pytest.approx(frame_potential(psi, alive), rel=1e-9)
+    def test_objective_trace_holds_elimination_gains(self):
+        # each entry is the frame-potential drop of its elimination, the
+        # first pair included, on the matrix the selection ran on
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            psi = rng.normal(size=(12, 3)) * rng.uniform(0.5, 3.0, size=(12, 1))
+            for l, normalize in ((3, True), (1, True), (3, False), (1, False)):
+                sel = framesense(psi, l, PlacementOptions(normalize_rows=normalize))
+                w = row_normalize(psi) if normalize else psi
+                assert len(sel.objective_trace) == len(sel.eliminated) == 12 - l
+                alive = list(range(12))
+                for r, gain in zip(sel.eliminated, sel.objective_trace):
+                    before = frame_potential(w, alive)
+                    alive.remove(r)
+                    drop = before - frame_potential(w, alive)
+                    assert gain == pytest.approx(drop, rel=1e-9), (seed, l, normalize, r)
+            # unnormalized, the gains add up to the drop the naive reference reaches
+            sel = framesense(psi, 3, PlacementOptions(normalize_rows=False))
+            gone = naive_framesense(psi, 3, normalize_rows=False)
+            kept = [i for i in range(12) if i not in gone]
+            want = frame_potential_oracle(psi, range(12)) - frame_potential_oracle(psi, kept)
+            assert sum(sel.objective_trace) == pytest.approx(want, rel=1e-9), seed
 
     def test_all_equal_rows_tie_lowest_index(self):
         psi = np.ones((5, 2))
