@@ -12,12 +12,12 @@ where those factors have closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .linalg import RANK_RTOL, as_sensing_matrix, frame_potential, gram, sym_eigenvalues
-from .matio import FLOAT_FMT
+from .matio import FLOAT_FMT, csv_row
 
 __all__ = [
     "BOUNDS_CSV_HEADER",
@@ -287,31 +287,12 @@ class BoundsReport:
     mse_bound_lower: float
     mse_bound_upper: float
 
-    def _fields(self):
-        return (
-            ("N", self.n),
-            ("K", self.k),
-            ("L", self.l),
-            ("gamma", self.gamma),
-            ("eta", self.eta),
-            ("l_min", self.l_min),
-            ("l_max", self.l_max),
-            ("l_mean", self.l_mean),
-            ("d", self.d),
-            ("delta", self.delta),
-            ("mse_bound_lower", self.mse_bound_lower),
-            ("mse_bound_upper", self.mse_bound_upper),
-        )
-
-    def _texts(self):
-        for name, value in self._fields():
-            yield name, str(value) if isinstance(value, int) else FLOAT_FMT % value
-
     def to_text(self) -> str:
-        return "".join(f"{name}={text}\n" for name, text in self._texts())
+        texts = self.to_csv_row().split(",")
+        return "".join(f"{name}={text}\n" for name, text in zip(BOUNDS_CSV_HEADER.split(","), texts))
 
     def to_csv_row(self) -> str:
-        return ",".join(text for _, text in self._texts())
+        return csv_row(astuple(self))
 
 
 def compute_bounds_report(psi, num_sensors: int, sel, compute_delta: bool = True) -> BoundsReport:

@@ -99,19 +99,13 @@ def _cmd_place(args) -> int:
     return 0
 
 
-def _cmd_sweep_mse(args) -> int:
-    from .harness import sweep_mse
-
-    table = sweep_mse(_load_config(args))
-    for path in table.write(args.out):
-        print("wrote", path)
-    return 0
+_SWEEPS = {"sweep-mse": "sweep_mse", "sweep-time": "sweep_timing"}
 
 
-def _cmd_sweep_time(args) -> int:
-    from .harness import sweep_timing
+def _cmd_sweep(args) -> int:
+    from . import harness
 
-    table = sweep_timing(_load_config(args))
+    table = getattr(harness, _SWEEPS[args.command])(_load_config(args))
     for path in table.write(args.out):
         print("wrote", path)
     return 0
@@ -155,8 +149,8 @@ def _cmd_matgen(args) -> int:
 
 _COMMANDS = {
     "place": _cmd_place,
-    "sweep-mse": _cmd_sweep_mse,
-    "sweep-time": _cmd_sweep_time,
+    "sweep-mse": _cmd_sweep,
+    "sweep-time": _cmd_sweep,
     "audit": _cmd_audit,
     "matgen": _cmd_matgen,
 }

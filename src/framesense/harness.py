@@ -15,14 +15,14 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .bounds import BOUNDS_CSV_HEADER, BoundsReport, compute_bounds_report
 from .linalg import as_sensing_matrix, frame_potential, mse
 from .matgen import FAMILIES, GeneratorSpec, generate
-from .matio import FLOAT_FMT, load_matrix
+from .matio import csv_row, load_matrix
 from .placement import ALGORITHMS, ORACLE_SUBSET_LIMIT, PlacementOptions, exhaustive_oracle, run_placement
 from .seeding import derive_seed
 
@@ -127,6 +127,26 @@ class ExperimentConfig:
                 raise ValueError(f"l={l} outside [1, {n}] for a {n} x {k} matrix")
 
 
+def _flat_values(record):
+    """Field values of a dataclass record in declaration order.
+
+    A nested record's values stand in its place, as an audit row's report's do.
+    """
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            yield from _flat_values(value)
+        else:
+            yield value
+
+
+def _write_csv(path, header, lines):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
 @dataclass(frozen=True)
 class RawRow:
     family: str
@@ -141,20 +161,7 @@ class RawRow:
     wall_time_seconds: float
 
     def to_csv(self) -> str:
-        return ",".join(
-            [
-                self.family,
-                str(self.n),
-                str(self.k),
-                str(self.l),
-                self.algorithm,
-                str(self.trial),
-                str(self.seed),
-                FLOAT_FMT % self.mse,
-                FLOAT_FMT % self.fp,
-                FLOAT_FMT % self.wall_time_seconds,
-            ]
-        )
+        return csv_row(_flat_values(self))
 
 
 @dataclass(frozen=True)
@@ -174,23 +181,7 @@ class AggRow:
     time_std: float
 
     def to_csv(self) -> str:
-        return ",".join(
-            [
-                self.family,
-                str(self.n),
-                str(self.k),
-                str(self.l),
-                self.algorithm,
-                str(self.trials),
-                FLOAT_FMT % self.mse_mean,
-                FLOAT_FMT % self.mse_std,
-                str(self.mse_unbounded),
-                FLOAT_FMT % self.fp_mean,
-                FLOAT_FMT % self.fp_std,
-                FLOAT_FMT % self.time_mean,
-                FLOAT_FMT % self.time_std,
-            ]
-        )
+        return csv_row(_flat_values(self))
 
 
 def _aggregate(raw: list) -> list:
@@ -243,14 +234,8 @@ class ResultTable:
         """Write ``<prefix>_raw.csv``, ``<prefix>_agg.csv``, ``<prefix>_plot``."""
         prefix = str(prefix)
         paths = [prefix + "_raw.csv", prefix + "_agg.csv", prefix + "_plot"]
-        with open(paths[0], "w", encoding="ascii") as fh:
-            fh.write(RAW_CSV_HEADER + "\n")
-            for row in self.raw:
-                fh.write(row.to_csv() + "\n")
-        with open(paths[1], "w", encoding="ascii") as fh:
-            fh.write(AGG_CSV_HEADER + "\n")
-            for row in self.aggregates:
-                fh.write(row.to_csv() + "\n")
+        _write_csv(paths[0], RAW_CSV_HEADER, (row.to_csv() for row in self.raw))
+        _write_csv(paths[1], AGG_CSV_HEADER, (row.to_csv() for row in self.aggregates))
         with open(paths[2], "w", encoding="ascii") as fh:
             fh.write(self.plot_script())
         return paths
@@ -288,7 +273,7 @@ class ResultTable:
                 x = getattr(row, xfield)
                 y = getattr(row, yfield)
                 err = getattr(row, errfield)
-                lines.append(f"{x},{FLOAT_FMT % y},{FLOAT_FMT % err}")
+                lines.append(csv_row((x, y, err)))
             lines.append("EOD")
         plots = ", ".join(
             f"{block} using 1:2:3 with yerrorlines title '{label}'" for block, label in names
@@ -313,7 +298,7 @@ def _trial_matrix(cfg: ExperimentConfig, family: str, n: int, k: int, seed: int)
     return generate(spec)
 
 
-def _placement_cell(cfg, matrix, l, algo, seed, warmup=False):
+def _placement_cell(cfg, matrix, family, trial, seed, l, algo, warmup=False) -> RawRow:
     opts = PlacementOptions(
         algorithm=algo,
         normalize_rows=cfg.normalize_rows,
@@ -325,9 +310,12 @@ def _placement_cell(cfg, matrix, l, algo, seed, warmup=False):
     start = time.perf_counter()
     selection = run_placement(matrix, l, opts)
     elapsed = time.perf_counter() - start
-    cell_mse = mse(matrix, selection.chosen, cfg.sigma2)
-    cell_fp = frame_potential(matrix, selection.chosen)
-    return selection, cell_mse, cell_fp, elapsed
+    return RawRow(
+        family, matrix.n, matrix.k, l, algo, trial, seed,
+        mse(matrix, selection.chosen, cfg.sigma2),
+        frame_potential(matrix, selection.chosen),
+        elapsed,
+    )
 
 
 def _run_tasks(tasks, threads: int) -> list:
@@ -364,15 +352,11 @@ def sweep_mse(cfg: ExperimentConfig) -> ResultTable:
                 matrix = fixed
             else:
                 matrix = _trial_matrix(cfg, family, cfg.n, cfg.k, seed)
-            rows = []
-            for l in cfg.l_values:
-                for algo in cfg.algorithms:
-                    _, cell_mse, cell_fp, elapsed = _placement_cell(cfg, matrix, l, algo, seed)
-                    rows.append(
-                        RawRow(family, matrix.n, matrix.k, l, algo, trial, seed,
-                               cell_mse, cell_fp, elapsed)
-                    )
-            return rows
+            return [
+                _placement_cell(cfg, matrix, family, trial, seed, l, algo)
+                for l in cfg.l_values
+                for algo in cfg.algorithms
+            ]
         return task
 
     tasks = [make_task(family, trial) for family in families for trial in range(cfg.trials)]
@@ -401,13 +385,7 @@ def sweep_timing(cfg: ExperimentConfig) -> ResultTable:
                 seed = _trial_seed(cfg.master_seed, family, trial)
                 matrix = _trial_matrix(cfg, family, n, cfg.k, seed)
                 for algo in cfg.algorithms:
-                    _, cell_mse, cell_fp, elapsed = _placement_cell(
-                        cfg, matrix, l, algo, seed, warmup=True
-                    )
-                    rows.append(
-                        RawRow(family, n, cfg.k, l, algo, trial, seed,
-                               cell_mse, cell_fp, elapsed)
-                    )
+                    rows.append(_placement_cell(cfg, matrix, family, trial, seed, l, algo, warmup=True))
     return ResultTable(_sort_raw(rows), kind="timing")
 
 
@@ -426,24 +404,7 @@ class AuditRow:
     status: str
 
     def to_csv(self) -> str:
-        def flag(value):
-            return "" if value is None else str(int(value))
-
-        return ",".join(
-            [
-                self.family,
-                str(self.trial),
-                str(self.seed),
-                self.report.to_csv_row(),
-                FLOAT_FMT % self.fp_greedy,
-                FLOAT_FMT % self.fp_opt,
-                FLOAT_FMT % self.mse_greedy,
-                FLOAT_FMT % self.mse_opt,
-                flag(self.fp_within_gamma),
-                flag(self.mse_within_bounds),
-                self.status,
-            ]
-        )
+        return csv_row(_flat_values(self))
 
 
 @dataclass
@@ -470,27 +431,9 @@ class AuditTable:
     def write(self, prefix) -> list:
         prefix = str(prefix)
         paths = [prefix + "_raw.csv", prefix + "_agg.csv"]
-        with open(paths[0], "w", encoding="ascii") as fh:
-            fh.write(AUDIT_CSV_HEADER + "\n")
-            for row in self.rows:
-                fh.write(row.to_csv() + "\n")
+        _write_csv(paths[0], AUDIT_CSV_HEADER, (row.to_csv() for row in self.rows))
         info = self.summary()
-        with open(paths[1], "w", encoding="ascii") as fh:
-            fh.write("instances,audited,skipped,fp_pass,mse_pass,max_fp_ratio,mean_fp_ratio\n")
-            fh.write(
-                ",".join(
-                    [
-                        str(info["instances"]),
-                        str(info["audited"]),
-                        str(info["skipped"]),
-                        str(info["fp_pass"]),
-                        str(info["mse_pass"]),
-                        FLOAT_FMT % info["max_fp_ratio"],
-                        FLOAT_FMT % info["mean_fp_ratio"],
-                    ]
-                )
-                + "\n"
-            )
+        _write_csv(paths[1], ",".join(info), [csv_row(info.values())])
         return paths
 
 

@@ -11,12 +11,32 @@ import numpy as np
 
 from .linalg import SensingMatrix
 
-__all__ = ["FLOAT_FMT", "load_matrix", "save_matrix"]
+__all__ = ["FLOAT_FMT", "csv_row", "load_matrix", "save_matrix"]
 
 FLOAT_FMT = "%.17g"
 
 # ASCII information separators: whitespace to numpy's number parser, not to float().
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def csv_row(values) -> str:
+    """The one format of every experiment table row, without its newline.
+
+    ``None`` is an empty field and a bool ``0`` or ``1``. Other ints are
+    decimal, since seeds reach 2**64 - 1, and strings are kept as they are.
+    Anything else is written at :data:`FLOAT_FMT`, ``nan`` and ``inf`` too.
+    """
+    texts = []
+    for value in values:
+        if value is None:
+            texts.append("")
+        elif isinstance(value, bool):
+            texts.append(str(int(value)))
+        elif isinstance(value, (int, str)):
+            texts.append(str(value))
+        else:
+            texts.append(FLOAT_FMT % value)
+    return ",".join(texts)
 
 
 def save_matrix(path, matrix) -> None:

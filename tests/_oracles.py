@@ -230,6 +230,53 @@ def exact_best_in(psi, num_sensors, objective, ridge):
     return chosen
 
 
+def exact_mi(psi, num_sensors, sigma2, ridge):
+    """Mutual-information greedy in exact rational arithmetic.
+
+    The covariance ``psi psi^T + sigma2 I`` and the ridge are taken at
+    their exact binary values. Each step adds the lowest-index location
+    with the largest ratio of its ridged conditional variance given the
+    chosen set, ``cov_ii - c^T (cov[chosen, chosen] + ridge I)^-1 c``, to
+    its conditional variance given the other unchosen locations,
+    ``1 / (M^-1)_ii - ridge`` with ``M = cov[free, free] + ridge I``. Every
+    inverse is taken anew by Gauss-Jordan elimination over fractions.
+    Returns the pick order.
+    """
+    a = [[Fraction(float(v)) for v in row] for row in np.asarray(psi)]
+    n = len(a)
+    ridge = Fraction(ridge)
+    cov = [
+        [sum(x * y for x, y in zip(a[r], a[c])) + Fraction(sigma2) * (r == c) for c in range(n)]
+        for r in range(n)
+    ]
+    free = list(range(n))
+    chosen = []
+    for _ in range(num_sensors):
+        _, inv = _det_and_inverse([[cov[r][c] + ridge * (r == c) for c in free] for r in free])
+        given_chosen = None
+        if chosen:
+            _, given_chosen = _det_and_inverse(
+                [[cov[r][c] + ridge * (r == c) for c in chosen] for r in chosen]
+            )
+        best = None
+        for pos, i in enumerate(free):
+            numer = cov[i][i]
+            if chosen:
+                cross = [cov[r][i] for r in chosen]
+                numer -= sum(
+                    cross[p] * given_chosen[p][q] * cross[q]
+                    for p in range(len(chosen))
+                    for q in range(len(chosen))
+                )
+            val = numer / (1 / inv[pos][pos] - ridge)
+            # strict comparison keeps the lowest index among exact ties
+            if best is None or val > best[0]:
+                best = (val, i)
+        chosen.append(best[1])
+        free.remove(best[1])
+    return chosen
+
+
 def _det_and_inverse(m):
     n = len(m)
     rows = [list(row) + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(m)]

@@ -1,7 +1,9 @@
 """Experiment harness: configs, sweeps, audits, CSV output."""
 
+import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from framesense import (
     AGG_CSV_HEADER,
     AUDIT_CSV_HEADER,
+    BOUNDS_CSV_HEADER,
+    BoundsReport,
     ExperimentConfig,
     GeneratorSpec,
     PlacementOptions,
@@ -24,7 +28,8 @@ from framesense import (
     sweep_mse,
     sweep_timing,
 )
-from framesense.harness import RawRow, _trial_seed
+from framesense.harness import AggRow, AuditRow, RawRow, _trial_seed
+from framesense.matio import csv_row
 
 
 def small_cfg(**overrides):
@@ -187,6 +192,40 @@ class TestCsvOutput:
         width = len(RAW_CSV_HEADER.split(","))
         for row in table.raw:
             assert len(row.to_csv().split(",")) == width
+
+
+def flat_field_names(cls):
+    """Field names of a row record, a nested record's names in its place."""
+    hints = typing.get_type_hints(cls)
+    names = []
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            names += flat_field_names(hints[f.name])
+        else:
+            names.append(f.name)
+    return names
+
+
+class TestRowFormat:
+    @pytest.mark.parametrize(
+        "record, header",
+        [
+            (RawRow, RAW_CSV_HEADER),
+            (AggRow, AGG_CSV_HEADER),
+            (AuditRow, AUDIT_CSV_HEADER),
+            (BoundsReport, BOUNDS_CSV_HEADER),
+        ],
+    )
+    def test_fields_follow_header(self, record, header):
+        # rows are written from their fields in declaration order
+        assert [name.lower() for name in flat_field_names(record)] == header.lower().split(",")
+
+    def test_csv_row_formats_each_type(self):
+        values = [True, False, None, 2**64 - 1, 7, math.nan, math.inf, -math.inf, -0.0, 0.1, "ok"]
+        assert csv_row(values) == (
+            "1,0,,18446744073709551615,7,nan,inf,-inf,-0,0.10000000000000001,ok"
+        )
+        assert csv_row([]) == ""
 
 
 class TestSweepTiming:

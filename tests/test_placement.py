@@ -32,6 +32,7 @@ from _oracles import (
     best_subset,
     exact_best_in,
     exact_framesense,
+    exact_mi,
     frame_potential_oracle,
     marginal_gain,
     naive_framesense,
@@ -384,6 +385,14 @@ class TestBestInTies:
                 ridge = PlacementOptions().resolved_ridge(psi)
                 want = exact_best_in(psi.entries, l, objective, ridge)
                 assert list(placer(psi, l).chosen) == want, (n, seed)
+
+    def test_mi_matches_exact_oracle_on_bernoulli(self):
+        for seed in range(10):
+            psi = generate(GeneratorSpec("bernoulli", 12, 3, seed=seed))
+            want = exact_mi(psi.entries, 8, 1.0, PlacementOptions().resolved_ridge(psi))
+            # each pick depends only on the earlier ones, so L = 4 is a prefix
+            for l in (4, 8):
+                assert list(greedy_mi(psi, l).chosen) == want[:l], (seed, l)
 
 
 class TestRandomPlacement:
