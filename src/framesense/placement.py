@@ -6,7 +6,8 @@ builds the N x N table of row inner products: initial candidate scores come
 from the K x K frame operator in O(N K^2), and each elimination downdates
 them with one (N, K) matrix-vector product, so the eliminations cost
 O(N (N - L) K) and memory stays O(N K). Only the search for the first,
-most parallel pair is quadratic, O(N^2 K), and it runs over blocks of rows.
+most parallel pair is quadratic, O(N^2 K); it runs over blocks of rows,
+each written into one reused buffer of about 1 MiB.
 
 Reference baselines (determinant, error-trace, mutual-information and
 coherence greedies, which share one best-in loop, plus a seeded random picker
@@ -82,8 +83,8 @@ _TIE_RTOL = 1e-12
 # scale of the gains it compares (rows of very different norms).
 _RESCORE_RATIO = 1e-3
 
-# Entries of the row block the first-pair search holds at once (4 MiB).
-_PAIR_BLOCK_ENTRIES = 2**19
+# Entries of the one row block the first-pair search reuses (1 MiB).
+_PAIR_BLOCK_ENTRIES = 2**17
 
 
 class CovarianceConditioningError(RuntimeError):
@@ -173,7 +174,9 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     ----------
     psi : SensingMatrix or array_like
     num_sensors : int
-        Number of rows to keep; must satisfy K <= num_sensors <= N - 2.
+        Number of rows to keep; must satisfy 1 <= num_sensors <= N - 2. Below
+        K the kept rows cannot span all K directions, so their MSE is
+        unbounded.
     opts : PlacementOptions, optional
         ``normalize_rows`` (default on) runs the selection on a unit-norm
         copy.
@@ -258,19 +261,22 @@ def _scores(w, live, diag2):
 def _most_parallel_pair(w) -> tuple[int, int]:
     """Lexicographically first pair i < j whose squared inner product ties the largest.
 
-    Scans ``w @ w.T`` in blocks of rows, each from its own diagonal onward,
-    so the working set stays near :data:`_PAIR_BLOCK_ENTRIES` doubles.
+    Scans ``w @ w.T`` in blocks of rows, each from its own diagonal onward
+    and each written into one reused buffer of at most
+    ``max(N, _PAIR_BLOCK_ENTRIES)`` doubles, so no two blocks are ever live.
     """
     n = w.shape[0]
     step = max(1, _PAIR_BLOCK_ENTRIES // n)
     row_max = np.empty(n - 1)
+    buf = np.empty(min(step, n - 1) * n)
     for lo in range(0, n - 1, step):
         hi = min(lo + step, n - 1)
         # entry (t, c) pairs row lo + t with row lo + c. Entries left of the
         # diagonal pair row lo + t with a lower row, which counts the same
         # value in its own maximum, so they never move the lowest row that
         # reaches the best value; only the diagonal has to go.
-        block = w[lo:hi] @ w[lo:].T
+        block = buf[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        np.matmul(w[lo:hi], w[lo:].T, out=block)
         block *= block
         np.fill_diagonal(block, 0.0)
         row_max[lo:hi] = block.max(axis=1)

@@ -8,8 +8,6 @@ schedule, which is what makes sweeps reproducible row by row.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 __all__ = ["derive_seed", "philox_generator", "stream_key"]
@@ -17,6 +15,9 @@ __all__ = ["derive_seed", "philox_generator", "stream_key"]
 
 def stream_key(label: str, *parts: int) -> int:
     """128-bit key derived from a label and integer parameters."""
+    # imported here: hashlib loads OpenSSL, which a run drawing nothing never needs
+    import hashlib
+
     h = hashlib.sha256()
     h.update(label.encode("ascii"))
     for part in parts:

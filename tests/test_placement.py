@@ -26,6 +26,7 @@ from framesense import (
     row_normalize,
     run_placement,
 )
+from framesense.placement import _PAIR_BLOCK_ENTRIES
 
 from _oracles import (
     _det_and_inverse,
@@ -184,6 +185,41 @@ class TestFramesense:
             tracemalloc.stop()
         # one 4000 x 4000 float64 table alone would take 122 MiB
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_pair_search_holds_one_small_block(self, n):
+        psi = generate(GeneratorSpec("gaussian", n, 30, seed=0))
+        tracemalloc.start()
+        try:
+            framesense(psi, n // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few (N, K) arrays and one reused 1 MiB block of the pair search
+        assert peak < 5 * psi.entries.nbytes + 2**20
+
+    @pytest.mark.parametrize("n, seed", [(600, 0), (1000, 1)])
+    def test_first_pair_over_several_blocks_matches_naive(self, n, seed):
+        # the search scans _PAIR_BLOCK_ENTRIES // N rows per block
+        assert _PAIR_BLOCK_ENTRIES // n < (n - 1) // 2
+        psi = generate(GeneratorSpec("gaussian", n, 10, seed=seed))
+        for normalize in (True, False):
+            fast = framesense(psi, n - 2, PlacementOptions(normalize_rows=normalize))
+            assert list(fast.eliminated) == naive_framesense(psi.entries, n - 2, normalize)
+
+    def test_duplicate_pair_straddling_a_block_boundary(self):
+        n = 1000
+        step = _PAIR_BLOCK_ENTRIES // n
+        assert 3 * step < n
+        base = generate(GeneratorSpec("gaussian", n, 10, seed=2)).entries
+        # a duplicate pair whose lower row ends the first block, then one
+        # whose lower row opens the second; a tied duplicate pair further
+        # on must not win over either
+        for twin in (step - 1, step):
+            psi = base.copy()
+            psi[twin + 1] = psi[twin]
+            psi[n - 1] = psi[2 * step + 5]
+            assert framesense(psi, n - 2).eliminated == (twin, twin + 1)
 
     def test_sensor_count_range(self):
         with pytest.raises(ValueError):
