@@ -16,7 +16,14 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .linalg import RANK_RTOL, as_sensing_matrix, frame_potential, gram, sym_eigenvalues
+from .linalg import (
+    RANK_RTOL,
+    _walk_subsets,
+    as_sensing_matrix,
+    frame_potential,
+    gram,
+    sym_eigenvalues,
+)
 from .matio import FLOAT_FMT, csv_row
 
 __all__ = [
@@ -127,13 +134,13 @@ def mse_envelope(psi, sel, l_min: float, l_max: float):
 def delta_bound(psi, num_sensors: int) -> float:
     """Tightest half-width of subset spectra around the mean-energy center.
 
-    Enumerates every size-``num_sensors`` subset, takes the eigenvalues of
-    each subset's Gram matrix, and returns the largest absolute deviation
-    from ``l_mean / K``. Minimal by construction. Instances with more than
+    Walks every size-``num_sensors`` subset in the lexicographic walk that
+    :func:`~framesense.placement.exhaustive_oracle` and audits share, with
+    one Gram matrix and one eigenvalue call per subset, and returns the
+    largest absolute deviation of any eigenvalue from ``l_mean / K``.
+    Minimal by construction. Instances with more than
     :data:`DELTA_SUBSET_LIMIT` subsets are refused.
     """
-    from itertools import combinations
-
     m = as_sensing_matrix(psi)
     if not 1 <= num_sensors <= m.n:
         raise ValueError(f"selection size must lie in [1, {m.n}], got {num_sensors}")
@@ -143,15 +150,20 @@ def delta_bound(psi, num_sensors: int) -> float:
             f"C({m.n}, {num_sensors}) = {count} subsets exceeds the enumeration "
             f"guard of {DELTA_SUBSET_LIMIT}"
         )
+    _, _, lam_range = _walk_subsets(m, num_sensors, fp=False, spectrum=True)
+    return _spectrum_delta(m, num_sensors, lam_range)
+
+
+def _spectrum_delta(m, num_sensors: int, lam_range) -> float:
+    """Largest deviation from ``l_mean / K`` of a walk's eigenvalue range.
+
+    Rounding ``x - center`` is monotone in ``x``, so the extremes give the
+    same float as the largest ``|lam - center|`` over every subset.
+    """
     _, _, l_mean = l_min_max(m, num_sensors)
     center = l_mean / m.k
-    worst = 0.0
-    for sub in combinations(range(m.n), num_sensors):
-        lam = sym_eigenvalues(gram(m, sub))
-        dev = float(np.max(np.abs(lam - center)))
-        if dev > worst:
-            worst = dev
-    return worst
+    low, high = lam_range
+    return max(0.0, high - center, center - low)
 
 
 def sharma_interval(values):
@@ -295,21 +307,24 @@ class BoundsReport:
         return csv_row(astuple(self))
 
 
-def compute_bounds_report(psi, num_sensors: int, sel, compute_delta: bool = True) -> BoundsReport:
+def compute_bounds_report(psi, num_sensors: int, sel, delta: float | None = None) -> BoundsReport:
     """Assemble a :class:`BoundsReport` for one instance.
 
     ``sel`` is the selection whose MSE envelope is reported, normally the
-    greedy output at size ``num_sensors``. ``delta`` is enumerated only when
-    requested and within the subset guard, otherwise NaN; ``eta`` is NaN
-    whenever its bound would be vacuous or ``delta`` is unavailable.
+    greedy output at size ``num_sensors``. ``delta`` is reported as given, so
+    a caller that has already walked the subsets passes what it found (NaN
+    for none); ``None`` runs :func:`delta_bound` when within the subset
+    guard and gives NaN otherwise. ``eta`` is NaN whenever its bound would be
+    vacuous or ``delta`` is unavailable.
     """
     m = as_sensing_matrix(psi)
     l_min, l_max, l_mean = l_min_max(m, num_sensors)
     gamma = fp_approx_factor(m, num_sensors)
     d = l_mean / m.k
-    delta = math.nan
-    if compute_delta and math.comb(m.n, num_sensors) <= DELTA_SUBSET_LIMIT:
-        delta = delta_bound(m, num_sensors)
+    if delta is None:
+        delta = math.nan
+        if math.comb(m.n, num_sensors) <= DELTA_SUBSET_LIMIT:
+            delta = delta_bound(m, num_sensors)
     if math.isfinite(delta) and d > delta and l_min > 0.0:
         eta = mse_approx_factor(gamma, d, delta, l_min, l_max)
     else:

@@ -14,16 +14,21 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .bounds import BOUNDS_CSV_HEADER, BoundsReport, compute_bounds_report
-from .linalg import as_sensing_matrix, frame_potential, mse
+from .bounds import (
+    BOUNDS_CSV_HEADER,
+    DELTA_SUBSET_LIMIT,
+    BoundsReport,
+    _spectrum_delta,
+    compute_bounds_report,
+)
+from .linalg import _walk_subsets, as_sensing_matrix, frame_potential, mse
 from .matgen import FAMILIES, GeneratorSpec, generate
 from .matio import csv_row, load_matrix
-from .placement import ALGORITHMS, ORACLE_SUBSET_LIMIT, PlacementOptions, exhaustive_oracle, run_placement
+from .placement import ALGORITHMS, ORACLE_SUBSET_LIMIT, PlacementOptions, run_placement
 from .seeding import derive_seed
 
 __all__ = [
@@ -321,6 +326,9 @@ def _placement_cell(cfg, matrix, family, trial, seed, l, algo, warmup=False) -> 
 def _run_tasks(tasks, threads: int) -> list:
     if threads <= 1:
         return [task() for task in tasks]
+    # imported here: it loads logging, about 0.6 MiB that one-thread runs skip
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda task: task(), tasks))
 
@@ -444,7 +452,10 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
     exhaustive optima, the gamma factor, delta and eta when enumerable, and
     the MSE envelope of the greedy selection, with pass flags for the two
     certified inequalities. Instances whose subset count exceeds the
-    enumeration guard are recorded as skipped, not errors.
+    enumeration guard are recorded as skipped, not errors. Each instance
+    walks its subsets once, with one Gram matrix and one eigenvalue call per
+    subset; both optima and delta come from that walk, with the values
+    :func:`exhaustive_oracle` and :func:`delta_bound` return.
 
     The certified greedy always runs with ``normalize_rows=False``, the run
     the gamma certificate covers; ``cfg.normalize_rows`` does not apply to
@@ -478,9 +489,13 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
                 selection = run_placement(matrix, l, opts)
                 fp_greedy = frame_potential(matrix, selection.chosen)
                 mse_greedy = mse(matrix, selection.chosen, 1.0)
-                _, fp_opt = exhaustive_oracle(matrix, l, "fp")
-                _, mse_opt = exhaustive_oracle(matrix, l, "mse")
-                report = compute_bounds_report(matrix, l, selection.chosen)
+                (_, fp_opt), (_, mse_opt), lam_range = _walk_subsets(
+                    matrix, l, fp=True, spectrum=True
+                )
+                delta = math.nan
+                if math.comb(matrix.n, l) <= DELTA_SUBSET_LIMIT:
+                    delta = _spectrum_delta(matrix, l, lam_range)
+                report = compute_bounds_report(matrix, l, selection.chosen, delta)
                 fp_ok = bool(fp_greedy <= report.gamma * fp_opt)
                 mse_ok = bool(
                     report.mse_bound_lower <= mse_greedy <= report.mse_bound_upper

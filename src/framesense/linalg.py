@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -230,10 +231,49 @@ def mse(psi, sel, noise=1.0) -> float:
         Noise variance, default 1.0.
     """
     sigma2 = _sigma2(noise)
-    lam = sym_eigenvalues(gram(psi, sel))
+    return sigma2 * _unit_mse(sym_eigenvalues(gram(psi, sel)))
+
+
+def _unit_mse(lam) -> float:
+    """Unit-variance MSE from a descending Gram spectrum, or UNBOUNDED."""
     if lam[0] <= 0.0 or np.any(lam < RANK_RTOL * lam[0]):
         return UNBOUNDED
-    return sigma2 * float(np.sum(1.0 / lam))
+    return float(np.sum(1.0 / lam))
+
+
+def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
+    """One pass over every size-``size`` row subset, in lexicographic order.
+
+    Serves the exhaustive oracles and the spectrum-concentration search, so
+    an audit cell enumerates its subsets once. Per subset it takes the frame
+    potential from the N x N squared-inner-product table when ``fp`` is set,
+    and one ``sym_eigenvalues(gram(m, sub))`` when ``spectrum`` is set; an
+    FP-only walk does no eigen work.
+
+    Returns ``(fp_best, mse_best, lam_range)``. ``fp_best`` and ``mse_best``
+    are ``(subset, value)`` pairs of least frame potential and least
+    unit-variance MSE, where a strict ``<`` keeps exact ties on the
+    lexicographically first subset. ``lam_range`` is ``(smallest, largest)``
+    eigenvalue over all subsets. Whatever was not asked for is None.
+    """
+    if fp:
+        g = m.entries @ m.entries.T
+        g2 = g * g
+    fp_best = mse_best = None
+    low, high = math.inf, -math.inf
+    for sub in combinations(range(m.n), size):
+        if fp:
+            val = float(g2[np.ix_(sub, sub)].sum())
+            if fp_best is None or val < fp_best[1]:
+                fp_best = sub, val
+        if spectrum:
+            lam = sym_eigenvalues(gram(m, sub))
+            val = _unit_mse(lam)
+            if mse_best is None or val < mse_best[1]:
+                mse_best = sub, val
+            low = min(low, float(lam[-1]))
+            high = max(high, float(lam[0]))
+    return fp_best, mse_best, (low, high) if spectrum else None
 
 
 def least_squares(psi, sel, f) -> np.ndarray:

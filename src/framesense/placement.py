@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .linalg import RANK_RTOL, as_sensing_matrix, mse, row_normalize
+from .linalg import RANK_RTOL, _walk_subsets, as_sensing_matrix, row_normalize
 from .seeding import philox_generator
 
 __all__ = [
@@ -464,9 +463,13 @@ def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
     """Exact optimum over all subsets of the requested size.
 
     Minimizes either the frame potential (``"fp"``) or the unit-variance
-    reconstruction error (``"mse"``). Ties resolve to the lexicographically
-    smallest subset. Refuses instances with more than
-    :data:`ORACLE_SUBSET_LIMIT` subsets.
+    reconstruction error (``"mse"``). Both run the one lexicographic subset
+    walk that :func:`framesense.bounds.delta_bound` and audits share; ties
+    resolve to the lexicographically smallest subset. The ``"fp"`` walk sums
+    entries of the N x N squared-inner-product table and does no eigen work;
+    the ``"mse"`` walk takes one Gram matrix and one eigenvalue call per
+    subset, with the rank rule of :func:`framesense.linalg.mse`. Refuses
+    instances with more than :data:`ORACLE_SUBSET_LIMIT` subsets.
 
     Returns
     -------
@@ -485,25 +488,10 @@ def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
             f"C({n}, {num_sensors}) = {count} subsets exceeds the enumeration "
             f"guard of {ORACLE_SUBSET_LIMIT}"
         )
-    if objective == "fp":
-        g = m.entries @ m.entries.T
-        g2 = g * g
-
-        def evaluate(sub):
-            return float(g2[np.ix_(sub, sub)].sum())
-
-    else:
-
-        def evaluate(sub):
-            return mse(m, sub, 1.0)
-
-    best_sub = None
-    best_val = np.inf
-    for sub in combinations(range(n), num_sensors):
-        val = evaluate(sub)
-        if best_sub is None or val < best_val:
-            best_sub = sub
-            best_val = val
+    fp_best, mse_best, _ = _walk_subsets(
+        m, num_sensors, fp=objective == "fp", spectrum=objective == "mse"
+    )
+    best_sub, best_val = fp_best if objective == "fp" else mse_best
     eliminated = tuple(i for i in range(n) if i not in set(best_sub))
     return Selection(best_sub, eliminated, (best_val,)), best_val
 

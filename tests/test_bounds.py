@@ -186,6 +186,21 @@ class TestDeltaBound:
         # shrinking delta by 1e-9 must exclude at least one subset
         assert hit >= 1
 
+    def test_equals_per_subset_maximum_exactly(self):
+        # delta_bound keeps only the walk's eigenvalue range; rounding of
+        # lam - center is monotone, so the float must equal the largest
+        # per-subset deviation bit for bit
+        rng = np.random.default_rng(24)
+        for n, k, size in ((8, 2, 3), (9, 3, 4), (10, 3, 7), (7, 4, 5)):
+            psi = rng.normal(size=(n, k)) * rng.uniform(0.2, 5.0, size=(n, 1))
+            _, _, l_mean = l_min_max(psi, size)
+            center = l_mean / k
+            want = 0.0
+            for sub in itertools.combinations(range(n), size):
+                lam = sym_eigenvalues(gram(psi, sub))
+                want = max(want, float(np.max(np.abs(lam - center))))
+            assert delta_bound(psi, size) == want
+
     def test_enumeration_guard(self):
         assert DELTA_SUBSET_LIMIT == 1_000_000
         with pytest.raises(ValueError, match="guard"):
@@ -295,6 +310,18 @@ class TestBoundsReport:
             assert report.eta == pytest.approx(
                 mse_approx_factor(report.gamma, report.d, report.delta, l_min, l_max)
             )
+
+    def test_given_delta_is_reported_as_is(self):
+        rng = np.random.default_rng(35)
+        psi = rng.normal(size=(9, 3))
+        sel = framesense(psi, 4).chosen
+        enumerated = compute_bounds_report(psi, 4, sel)
+        given = compute_bounds_report(psi, 4, sel, delta_bound(psi, 4))
+        assert given.to_text() == enumerated.to_text()
+        skipped = compute_bounds_report(psi, 4, sel, math.nan)
+        assert math.isnan(skipped.delta) and math.isnan(skipped.eta)
+        assert skipped.gamma == enumerated.gamma
+        assert skipped.mse_bound_upper == enumerated.mse_bound_upper
 
     def test_delta_nan_when_enumeration_too_large(self):
         rng = np.random.default_rng(34)

@@ -18,6 +18,7 @@ from framesense import (
     PlacementOptions,
     RAW_CSV_HEADER,
     ResultTable,
+    delta_bound,
     exhaustive_oracle,
     frame_potential,
     generate,
@@ -281,6 +282,39 @@ class TestOracleAudit:
         assert row.fp_greedy == frame_potential(matrix, sel.chosen)
         _, fp_opt = exhaustive_oracle(matrix, 4, "fp")
         assert row.fp_opt == fp_opt
+
+    def test_one_gram_and_one_eigen_call_per_subset(self, monkeypatch):
+        # counted at every module that binds the two functions, as a tracer
+        # would see them
+        import framesense.bounds
+        import framesense.harness
+        import framesense.linalg
+        import framesense.placement
+
+        calls = {"gram": 0, "sym_eigenvalues": 0}
+        for name in calls:
+            orig = getattr(framesense.linalg, name)
+
+            def counted(*args, _orig=orig, _name=name):
+                calls[_name] += 1
+                return _orig(*args)
+
+            for mod in (framesense.linalg, framesense.bounds, framesense.placement, framesense.harness):
+                if getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, counted)
+        oracle_audit(small_cfg(n=10, k=3, l_values=(5,), trials=1, normalize_rows=False))
+        # plus one each for the greedy selection's MSE and its MSE envelope
+        want = math.comb(10, 5) + 2
+        assert calls == {"gram": want, "sym_eigenvalues": want}
+
+    def test_optima_and_delta_match_standalone_calls(self):
+        cfg = small_cfg(n=10, k=3, l_values=(3, 5, 8), trials=3, normalize_rows=False)
+        for row in oracle_audit(cfg).rows:
+            matrix = generate(GeneratorSpec("gaussian", 10, 3, seed=row.seed))
+            l = row.report.l
+            assert row.fp_opt == exhaustive_oracle(matrix, l, "fp")[1]
+            assert row.mse_opt == exhaustive_oracle(matrix, l, "mse")[1]
+            assert row.report.delta == delta_bound(matrix, l)
 
     def test_oversized_instances_are_skipped(self):
         cfg = small_cfg(n=40, k=3, l_values=(20,), trials=1)

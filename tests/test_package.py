@@ -71,3 +71,21 @@ def test_place_loads_only_what_it_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines == ["loaded"] + [f"{algo} 0" for algo in framesense.ALGORITHMS]
+
+
+# One-thread sweeps and audits run their tasks inline, so they never load
+# the thread pool or the logging it imports.
+_ONE_THREAD_IMPORTS = """
+import sys
+from framesense import ExperimentConfig, oracle_audit, sweep_mse
+cfg = dict(n=10, k=3, l_values=(3, 5), trials=1, threads=1)
+sweep_mse(ExperimentConfig(**cfg))
+oracle_audit(ExperimentConfig(**cfg))
+print(*(m for m in ("concurrent.futures", "logging") if m in sys.modules))
+"""
+
+
+def test_one_thread_runs_load_no_thread_pool():
+    proc = subprocess.run([sys.executable, "-c", _ONE_THREAD_IMPORTS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"

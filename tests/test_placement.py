@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -475,6 +476,24 @@ class TestExhaustiveOracle:
         want_sub, want_val = best_subset(psi, 4, lambda s: mse(psi, s, 1.0))
         assert sel.chosen == want_sub
         assert val == pytest.approx(want_val, rel=1e-9)
+
+    def test_exact_mse_ties_go_to_first_subset(self):
+        # integer entries make the Grams of subsets that swap a row for its
+        # duplicate identical, so their MSEs tie exactly
+        rng = np.random.default_rng(41)
+        ties = 0
+        for _ in range(6):
+            psi = rng.integers(-3, 4, size=(6, 3)).astype(float)
+            psi = np.vstack([psi, psi[[4, 1]]])
+            for size in (3, 4, 5):
+                sel, val = exhaustive_oracle(psi, size, "mse")
+                want_sub, want_val = best_subset(psi, size, lambda s: mse(psi, s, 1.0))
+                assert (sel.chosen, val) == (want_sub, want_val)
+                tied = [s for s in combinations(range(8), size) if mse(psi, s, 1.0) == val]
+                assert sel.chosen == tied[0]
+                if math.isfinite(val):
+                    ties += len(tied) > 1
+        assert ties >= 6
 
     def test_enumeration_guard(self):
         assert ORACLE_SUBSET_LIMIT == 10_000_000
