@@ -24,7 +24,6 @@ _HOMES = {
         "bounds": (
             "BOUNDS_CSV_HEADER",
             "BoundsReport",
-            "DELTA_SUBSET_LIMIT",
             "MPScenario",
             "compute_bounds_report",
             "delta_bound",

@@ -25,11 +25,11 @@ from .linalg import (
     sym_eigenvalues,
 )
 from .matio import FLOAT_FMT, csv_row
+from .placement import ORACLE_SUBSET_LIMIT
 
 __all__ = [
     "BOUNDS_CSV_HEADER",
     "BoundsReport",
-    "DELTA_SUBSET_LIMIT",
     "MPScenario",
     "compute_bounds_report",
     "delta_bound",
@@ -42,9 +42,6 @@ __all__ = [
     "sharma_interval",
     "untf_reference",
 ]
-
-# Spectrum-concentration search refuses to enumerate more subsets than this.
-DELTA_SUBSET_LIMIT = 1_000_000
 
 BOUNDS_CSV_HEADER = (
     "N,K,L,gamma,eta,l_min,l_max,l_mean,d,delta,mse_bound_lower,mse_bound_upper"
@@ -136,19 +133,21 @@ def delta_bound(psi, num_sensors: int) -> float:
 
     Walks every size-``num_sensors`` subset in the lexicographic walk that
     :func:`~framesense.placement.exhaustive_oracle` and audits share, with
-    one Gram matrix and one eigenvalue call per subset, and returns the
-    largest absolute deviation of any eigenvalue from ``l_mean / K``.
+    one gather, Gram product and ``eigvalsh`` call per subset, and returns
+    the largest absolute deviation of any eigenvalue from ``l_mean / K``.
     Minimal by construction. Instances with more than
-    :data:`DELTA_SUBSET_LIMIT` subsets are refused.
+    :data:`~framesense.placement.ORACLE_SUBSET_LIMIT` subsets, the guard
+    the exhaustive oracles share, are refused, and so are matrices whose
+    subset Gram matrices could overflow float64.
     """
     m = as_sensing_matrix(psi)
     if not 1 <= num_sensors <= m.n:
         raise ValueError(f"selection size must lie in [1, {m.n}], got {num_sensors}")
     count = math.comb(m.n, num_sensors)
-    if count > DELTA_SUBSET_LIMIT:
+    if count > ORACLE_SUBSET_LIMIT:
         raise ValueError(
             f"C({m.n}, {num_sensors}) = {count} subsets exceeds the enumeration "
-            f"guard of {DELTA_SUBSET_LIMIT}"
+            f"guard of {ORACLE_SUBSET_LIMIT}"
         )
     _, _, lam_range = _walk_subsets(m, num_sensors, fp=False, spectrum=True)
     return _spectrum_delta(m, num_sensors, lam_range)
@@ -323,7 +322,7 @@ def compute_bounds_report(psi, num_sensors: int, sel, delta: float | None = None
     d = l_mean / m.k
     if delta is None:
         delta = math.nan
-        if math.comb(m.n, num_sensors) <= DELTA_SUBSET_LIMIT:
+        if math.comb(m.n, num_sensors) <= ORACLE_SUBSET_LIMIT:
             delta = delta_bound(m, num_sensors)
     if math.isfinite(delta) and d > delta and l_min > 0.0:
         eta = mse_approx_factor(gamma, d, delta, l_min, l_max)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .bounds import (
     BOUNDS_CSV_HEADER,
-    DELTA_SUBSET_LIMIT,
     BoundsReport,
     _spectrum_delta,
     compute_bounds_report,
@@ -451,11 +450,13 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
     Per instance: frame potential and MSE of the greedy selection versus the
     exhaustive optima, the gamma factor, delta and eta when enumerable, and
     the MSE envelope of the greedy selection, with pass flags for the two
-    certified inequalities. Instances whose subset count exceeds the
-    enumeration guard are recorded as skipped, not errors. Each instance
-    walks its subsets once, with one Gram matrix and one eigenvalue call per
-    subset; both optima and delta come from that walk, with the values
-    :func:`exhaustive_oracle` and :func:`delta_bound` return.
+    certified inequalities. Instances whose subset count exceeds
+    :data:`~framesense.placement.ORACLE_SUBSET_LIMIT` are recorded as
+    skipped, not errors. Each instance walks its subsets once, with one
+    gather, Gram product and ``eigvalsh`` call per subset; both optima and
+    delta come from that walk, with the values :func:`exhaustive_oracle`
+    and :func:`delta_bound` return, so every walked instance reports its
+    delta.
 
     The certified greedy always runs with ``normalize_rows=False``, the run
     the gamma certificate covers; ``cfg.normalize_rows`` does not apply to
@@ -492,9 +493,7 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
                 (_, fp_opt), (_, mse_opt), lam_range = _walk_subsets(
                     matrix, l, fp=True, spectrum=True
                 )
-                delta = math.nan
-                if math.comb(matrix.n, l) <= DELTA_SUBSET_LIMIT:
-                    delta = _spectrum_delta(matrix, l, lam_range)
+                delta = _spectrum_delta(matrix, l, lam_range)
                 report = compute_bounds_report(matrix, l, selection.chosen, delta)
                 fp_ok = bool(fp_greedy <= report.gamma * fp_opt)
                 mse_ok = bool(

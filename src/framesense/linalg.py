@@ -236,43 +236,72 @@ def mse(psi, sel, noise=1.0) -> float:
 
 def _unit_mse(lam) -> float:
     """Unit-variance MSE from a descending Gram spectrum, or UNBOUNDED."""
-    if lam[0] <= 0.0 or np.any(lam < RANK_RTOL * lam[0]):
+    top = lam[0]
+    if top <= 0.0 or lam[-1] < RANK_RTOL * top:
         return UNBOUNDED
-    return float(np.sum(1.0 / lam))
+    return float((1.0 / lam).sum())
 
 
 def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
     """One pass over every size-``size`` row subset, in lexicographic order.
 
     Serves the exhaustive oracles and the spectrum-concentration search, so
-    an audit cell enumerates its subsets once. Per subset it takes the frame
-    potential from the N x N squared-inner-product table when ``fp`` is set,
-    and one ``sym_eigenvalues(gram(m, sub))`` when ``spectrum`` is set; an
-    FP-only walk does no eigen work.
+    an audit cell enumerates its subsets once. Per subset it builds one index
+    array; when ``fp`` is set it sums that subset's entries of the N x N
+    squared-inner-product table, and when ``spectrum`` is set it gathers the
+    rows, forms ``block.T @ block`` and takes one ``numpy.linalg.eigvalsh``.
+    An FP-only walk does no eigen work. Eigenvalues and MSEs equal those of
+    ``sym_eigenvalues(gram(m, sub))`` and ``mse(m, sub)`` bit for bit; the
+    checks those functions make on every call are replaced by one check per
+    walk. A LAPACK failure raises :class:`ConvergenceError`.
 
     Returns ``(fp_best, mse_best, lam_range)``. ``fp_best`` and ``mse_best``
     are ``(subset, value)`` pairs of least frame potential and least
     unit-variance MSE, where a strict ``<`` keeps exact ties on the
     lexicographically first subset. ``lam_range`` is ``(smallest, largest)``
     eigenvalue over all subsets. Whatever was not asked for is None.
+
+    Raises
+    ------
+    ValueError
+        If a subset's Gram matrix (``spectrum``) or frame potential (``fp``)
+        could overflow float64.
     """
+    e = m.entries
+    # Every entry of a subset's Gram matrix is at most the sum of its squared
+    # row norms in magnitude, and its frame potential, like every entry of
+    # the squared-inner-product table, at most that sum squared.
+    top = float(np.sort(np.einsum("ij,ij->i", e, e))[m.n - size :].sum())
+    if not math.isfinite(top * top if fp else top):
+        what = "frame potentials" if fp else "Gram matrices"
+        raise ValueError(f"subset {what} overflow float64; rescale the matrix")
     if fp:
-        g = m.entries @ m.entries.T
+        g = e @ e.T
         g2 = g * g
+    eigvalsh = np.linalg.eigvalsh
     fp_best = mse_best = None
     low, high = math.inf, -math.inf
-    for sub in combinations(range(m.n), size):
-        if fp:
-            val = float(g2[np.ix_(sub, sub)].sum())
-            if fp_best is None or val < fp_best[1]:
-                fp_best = sub, val
-        if spectrum:
-            lam = sym_eigenvalues(gram(m, sub))
-            val = _unit_mse(lam)
-            if mse_best is None or val < mse_best[1]:
-                mse_best = sub, val
-            low = min(low, float(lam[-1]))
-            high = max(high, float(lam[0]))
+    try:
+        for sub in combinations(range(m.n), size):
+            idx = np.array(sub)
+            if fp:
+                val = float(g2[idx[:, None], idx].sum())
+                if fp_best is None or val < fp_best[1]:
+                    fp_best = sub, val
+            if spectrum:
+                block = e[idx]
+                lam = eigvalsh(block.T @ block)[::-1]
+                val = _unit_mse(lam)
+                if mse_best is None or val < mse_best[1]:
+                    mse_best = sub, val
+                val = float(lam[-1])
+                if val < low:
+                    low = val
+                val = float(lam[0])
+                if val > high:
+                    high = val
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue computation did not converge: {exc}") from exc
     return fp_best, mse_best, (low, high) if spectrum else None
 
 

@@ -178,7 +178,8 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
         unbounded.
     opts : PlacementOptions, optional
         ``normalize_rows`` (default on) runs the selection on a unit-norm
-        copy.
+        copy. Unnormalized rows whose squared absolute inner products sum
+        past float64 raise ValueError.
 
     Returns
     -------
@@ -198,6 +199,16 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
             f"sensor count must lie in [1, {n - 2}] for a {n} x {k} matrix, got {num_sensors}"
         )
     w = (row_normalize(m) if opts.normalize_rows else m).entries
+    # every product, gain and rounding bound below is at most twice the
+    # frame potential of |w|, the squared Frobenius norm of |w|^T |w|
+    with np.errstate(over="ignore"):
+        t = np.abs(w)
+        t = t.T @ t
+        if not math.isfinite(2.0 * float((t * t).sum())):
+            raise ValueError(
+                "frame potential of the rows overflows float64; rescale the matrix "
+                "or normalize its rows"
+            )
     diag2 = np.einsum("ij,ij->i", w, w) ** 2
 
     first, second = _most_parallel_pair(w)
@@ -467,9 +478,12 @@ def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
     walk that :func:`framesense.bounds.delta_bound` and audits share; ties
     resolve to the lexicographically smallest subset. The ``"fp"`` walk sums
     entries of the N x N squared-inner-product table and does no eigen work;
-    the ``"mse"`` walk takes one Gram matrix and one eigenvalue call per
-    subset, with the rank rule of :func:`framesense.linalg.mse`. Refuses
-    instances with more than :data:`ORACLE_SUBSET_LIMIT` subsets.
+    the ``"mse"`` walk takes one gather, Gram product and ``eigvalsh`` call
+    per subset, with the rank rule and the values of
+    :func:`framesense.linalg.mse`. Refuses instances with more than
+    :data:`ORACLE_SUBSET_LIMIT` subsets, and matrices whose subset frame
+    potentials (``"fp"``) or Gram matrices (``"mse"``) could overflow
+    float64.
 
     Returns
     -------

@@ -2,7 +2,8 @@
 
 Everything here is written the dumb way on purpose: triple loops, full
 recomputation, characteristic-polynomial root finding. None of it shares
-code with the package under test.
+code with the package under test, except ``walk_reference``, which checks
+the fused subset walk against the package's validated per-call functions.
 """
 
 import itertools
@@ -153,6 +154,28 @@ def best_subset(psi, size, objective):
             best_val = val
             best_sub = sub
     return best_sub, best_val
+
+
+def walk_reference(psi, size):
+    """What ``linalg._walk_subsets(m, size, fp=True, spectrum=True)`` returns.
+
+    Subset by subset through the public API: MSE from ``mse``, eigenvalues
+    from ``sym_eigenvalues(gram(...))``, optima by :func:`best_subset`. FP
+    is the sum of the subset's entries of the N x N squared-inner-product
+    table, the form the walk reads; ``frame_potential`` sums a K x K or
+    L x L Gram form instead, which rounds differently.
+    """
+    from framesense.linalg import gram, mse, sym_eigenvalues
+
+    a = np.asarray(getattr(psi, "entries", psi), dtype=float)
+    g = a @ a.T
+    g2 = g * g
+    fp_best = best_subset(a, size, lambda s: float(g2[np.ix_(s, s)].sum()))
+    mse_best = best_subset(a, size, lambda s: mse(a, s, 1.0))
+    spectra = [sym_eigenvalues(gram(a, s)) for s in itertools.combinations(range(len(a)), size)]
+    low = min(float(lam[-1]) for lam in spectra)
+    high = max(float(lam[0]) for lam in spectra)
+    return fp_best, mse_best, (low, high)
 
 
 def mse_oracle(psi, selected, sigma2=1.0):

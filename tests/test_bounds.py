@@ -9,8 +9,8 @@ import pytest
 from framesense import (
     BOUNDS_CSV_HEADER,
     BoundsReport,
-    DELTA_SUBSET_LIMIT,
     MPScenario,
+    ORACLE_SUBSET_LIMIT,
     compute_bounds_report,
     delta_bound,
     fp_approx_factor,
@@ -202,9 +202,15 @@ class TestDeltaBound:
             assert delta_bound(psi, size) == want
 
     def test_enumeration_guard(self):
-        assert DELTA_SUBSET_LIMIT == 1_000_000
-        with pytest.raises(ValueError, match="guard"):
+        # the one guard the exhaustive oracles and audits share
+        with pytest.raises(ValueError, match=f"guard of {ORACLE_SUBSET_LIMIT}$"):
             delta_bound(np.ones((30, 2)), 15)
+
+    def test_overflowing_gram_matrices_raise_value_error(self):
+        psi = np.random.default_rng(45).normal(size=(8, 3))
+        assert math.isfinite(delta_bound(psi * 1e100, 4))
+        with pytest.raises(ValueError, match="overflow"):
+            delta_bound(psi * 1e160, 4)
 
 
 class TestSharmaInterval:
@@ -324,9 +330,11 @@ class TestBoundsReport:
         assert skipped.mse_bound_upper == enumerated.mse_bound_upper
 
     def test_delta_nan_when_enumeration_too_large(self):
+        # past the enumeration guard the exhaustive oracles share
         rng = np.random.default_rng(34)
-        psi = rng.normal(size=(25, 3))
-        report = compute_bounds_report(psi, 12, tuple(range(12)))
+        psi = rng.normal(size=(30, 3))
+        assert math.comb(30, 15) > ORACLE_SUBSET_LIMIT
+        report = compute_bounds_report(psi, 15, tuple(range(15)))
         assert math.isnan(report.delta)
         assert math.isnan(report.eta)
 

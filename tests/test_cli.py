@@ -82,6 +82,14 @@ class TestPlace:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
 
+    def test_overflowing_unnormalized_matrix_exits_2(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        save_matrix(path, np.random.default_rng(48).normal(size=(8, 3)) * 1e100)
+        proc = run_cli("place", "--matrix", str(path), "--sensors", "4", "--no-normalize",
+                       check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: frame potential of the rows overflows")
+
     def test_missing_matrix_file_exits_2(self):
         proc = run_cli("place", "--matrix", "/no/such/file.csv", "--sensors", "2",
                        check=False)

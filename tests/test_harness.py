@@ -18,6 +18,7 @@ from framesense import (
     PlacementOptions,
     RAW_CSV_HEADER,
     ResultTable,
+    compute_bounds_report,
     delta_bound,
     exhaustive_oracle,
     frame_potential,
@@ -284,28 +285,57 @@ class TestOracleAudit:
         assert row.fp_opt == fp_opt
 
     def test_one_gram_and_one_eigen_call_per_subset(self, monkeypatch):
-        # counted at every module that binds the two functions, as a tracer
-        # would see them
+        # the walk forms each subset's Gram product inline and decomposes it
+        # with one eigvalsh call; the checked gram and sym_eigenvalues run
+        # only for the greedy selection's MSE and its MSE envelope. Counted
+        # at every module that binds them, as a tracer would see them.
         import framesense.bounds
         import framesense.harness
         import framesense.linalg
         import framesense.placement
 
-        calls = {"gram": 0, "sym_eigenvalues": 0}
-        for name in calls:
-            orig = getattr(framesense.linalg, name)
+        calls = {"gram": 0, "sym_eigenvalues": 0, "eigvalsh": 0}
+
+        def count(home, name):
+            orig = getattr(home, name)
 
             def counted(*args, _orig=orig, _name=name):
                 calls[_name] += 1
                 return _orig(*args)
 
+            return orig, counted
+
+        for name in ("gram", "sym_eigenvalues"):
+            orig, counted = count(framesense.linalg, name)
             for mod in (framesense.linalg, framesense.bounds, framesense.placement, framesense.harness):
                 if getattr(mod, name, None) is orig:
                     monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", count(np.linalg, "eigvalsh")[1])
         oracle_audit(small_cfg(n=10, k=3, l_values=(5,), trials=1, normalize_rows=False))
-        # plus one each for the greedy selection's MSE and its MSE envelope
-        want = math.comb(10, 5) + 2
-        assert calls == {"gram": want, "sym_eigenvalues": want}
+        assert calls == {"gram": 2, "sym_eigenvalues": 2, "eigvalsh": math.comb(10, 5) + 2}
+
+    def test_every_walked_cell_reports_its_delta(self, monkeypatch):
+        # one guard decides both whether a cell walks and whether it has a
+        # delta: at a guard of C(10, 4) = 210, L = 4 and 6 walk, L = 5 skips
+        import framesense.bounds
+        import framesense.harness
+
+        for mod in (framesense.harness, framesense.bounds):
+            monkeypatch.setattr(mod, "ORACLE_SUBSET_LIMIT", math.comb(10, 4))
+        cfg = small_cfg(n=10, k=3, l_values=(4, 5, 6), trials=2, normalize_rows=False)
+        for row in oracle_audit(cfg).rows:
+            l = row.report.l
+            if l == 5:
+                assert row.status.startswith("skipped")
+                with pytest.raises(ValueError, match="guard"):
+                    delta_bound(generate(GeneratorSpec("gaussian", 10, 3, seed=row.seed)), l)
+                continue
+            assert row.status == "ok"
+            matrix = generate(GeneratorSpec("gaussian", 10, 3, seed=row.seed))
+            assert math.isfinite(row.report.delta)
+            assert row.report.delta == delta_bound(matrix, l)
+            sel = run_placement(matrix, l, PlacementOptions(normalize_rows=False))
+            assert compute_bounds_report(matrix, l, sel.chosen).delta == row.report.delta
 
     def test_optima_and_delta_match_standalone_calls(self):
         cfg = small_cfg(n=10, k=3, l_values=(3, 5, 8), trials=3, normalize_rows=False)

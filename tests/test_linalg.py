@@ -1,5 +1,6 @@
 """Dense-numerics layer: Gram matrices, eigenvalues, FP, MSE."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,21 +8,33 @@ import pytest
 
 from framesense import (
     ConvergenceError,
+    GeneratorSpec,
     NoiseModel,
     RANK_RTOL,
     SensingMatrix,
     UNBOUNDED,
     as_sensing_matrix,
     coherence,
+    delta_bound,
     frame_potential,
+    generate,
     gram,
+    l_min_max,
     least_squares,
     mse,
     row_normalize,
     sym_eigenvalues,
 )
 
-from _oracles import eig_oracle, frame_potential_oracle, gram_oracle, mse_oracle
+from framesense.linalg import _walk_subsets
+
+from _oracles import (
+    eig_oracle,
+    frame_potential_oracle,
+    gram_oracle,
+    mse_oracle,
+    walk_reference,
+)
 
 MB = np.array([[0.0, 1.0],
                [-math.sqrt(3) / 2, -0.5],
@@ -374,3 +387,56 @@ class TestCoherence:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             coherence(np.eye(2), 0, 2)
+
+
+def _walk_grid():
+    # (name, matrix): even row counts for stacked_scaled; the duplicate-row
+    # matrix repeats rows 4 and 1 of an integer one, so subsets that swap a
+    # row for its copy tie exactly
+    rng = np.random.default_rng(43)
+    dup = rng.integers(-3, 4, size=(8, 3)).astype(float)
+    yield "duplicate_rows", as_sensing_matrix(np.vstack([dup, dup[[4, 1]]]))
+    for seed in range(2):
+        for family, scale in (("gaussian", None), ("bernoulli", None), ("stacked_scaled", 4.0)):
+            yield family, generate(GeneratorSpec(family, 10, 3, seed=seed, scale=scale))
+
+
+class TestWalkSubsets:
+    @pytest.mark.parametrize("name, m", list(_walk_grid()))
+    def test_equals_per_subset_reference_bitwise(self, name, m):
+        # sizes 1 and 2 lie below K = 3, where every subset is unbounded and
+        # the first one wins; bernoulli and the duplicate rows tie exactly
+        for size in (1, 2, 3, 5, 9):
+            want = walk_reference(m, size)
+            assert _walk_subsets(m, size, fp=True, spectrum=True) == want
+            assert _walk_subsets(m, size, fp=True, spectrum=False) == (want[0], None, None)
+            assert _walk_subsets(m, size, fp=False, spectrum=True) == (None, *want[1:])
+            (sub, fp), (_, unit_mse), _ = want
+            assert fp == pytest.approx(frame_potential(m, sub), rel=1e-12)
+            assert (unit_mse == UNBOUNDED) == (size < m.k)
+            center = l_min_max(m, size)[2] / m.k
+            assert delta_bound(m, size) == max(
+                float(np.max(np.abs(sym_eigenvalues(gram(m, s)) - center)))
+                for s in itertools.combinations(range(m.n), size)
+            )
+
+    def test_exact_ties_occur_on_grid(self):
+        # the grid must exercise the first-subset tie rule, not just claim to
+        ties = 0
+        for name, m in _walk_grid():
+            if name in ("bernoulli", "duplicate_rows"):
+                (sub, val), _, _ = walk_reference(m, 3)
+                g2 = (m.entries @ m.entries.T) ** 2
+                tied = [s for s in itertools.combinations(range(m.n), 3)
+                        if float(g2[np.ix_(s, s)].sum()) == val]
+                assert tied[0] == sub
+                ties += len(tied) > 1
+        assert ties >= 2
+
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError):
+            _walk_subsets(as_sensing_matrix(MB), 2, fp=False, spectrum=True)

@@ -74,6 +74,15 @@ def duplicated_row_instance(seed):
 
 
 class TestFramesense:
+    def test_overflowing_frame_potential_raises_value_error(self):
+        # unnormalized scores at 1e100 overflow to inf and NaN and would
+        # eliminate a row twice; rows normalized first are unaffected
+        psi = random_instance(47, n=8, k=3)
+        for scale in (1e100, 1e160):
+            with pytest.raises(ValueError, match="frame potential of the rows overflows"):
+                framesense(psi * scale, 4, PlacementOptions(normalize_rows=False))
+        assert framesense(psi * 1e100, 4).chosen == framesense(psi, 4).chosen
+
     def test_duplicate_basis_rows(self):
         sel = framesense(E_DUP, 2)
         assert sel.chosen == (1, 2)
@@ -503,6 +512,18 @@ class TestExhaustiveOracle:
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
             exhaustive_oracle(np.eye(3), 2, "volume")
+
+    def test_overflow_raises_instead_of_infinite_optimum(self):
+        # the squared-inner-product table overflows at 1e100, subset Gram
+        # matrices at 1e160
+        psi = random_instance(46, n=8, k=3)
+        with pytest.raises(ValueError, match="overflow"):
+            exhaustive_oracle(psi * 1e100, 4, "fp")
+        _, val = exhaustive_oracle(psi * 1e100, 4, "mse")
+        assert 0.0 < val < math.inf
+        for objective in ("fp", "mse"):
+            with pytest.raises(ValueError, match="overflow"):
+                exhaustive_oracle(psi * 1e160, 4, objective)
 
 
 class TestSelectionRecord:
