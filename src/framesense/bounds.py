@@ -17,6 +17,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .linalg import (
+    ORACLE_SUBSET_LIMIT,
     RANK_RTOL,
     _walk_subsets,
     as_sensing_matrix,
@@ -25,7 +26,6 @@ from .linalg import (
     sym_eigenvalues,
 )
 from .matio import FLOAT_FMT, csv_row
-from .placement import ORACLE_SUBSET_LIMIT
 
 __all__ = [
     "BOUNDS_CSV_HEADER",
@@ -143,13 +143,10 @@ def delta_bound(psi, num_sensors: int) -> float:
     m = as_sensing_matrix(psi)
     if not 1 <= num_sensors <= m.n:
         raise ValueError(f"selection size must lie in [1, {m.n}], got {num_sensors}")
-    count = math.comb(m.n, num_sensors)
-    if count > ORACLE_SUBSET_LIMIT:
-        raise ValueError(
-            f"C({m.n}, {num_sensors}) = {count} subsets exceeds the enumeration "
-            f"guard of {ORACLE_SUBSET_LIMIT}"
-        )
-    _, _, lam_range = _walk_subsets(m, num_sensors, fp=False, spectrum=True)
+    # this module's guard, the one compute_bounds_report checks before calling here
+    _, _, lam_range = _walk_subsets(
+        m, num_sensors, fp=False, spectrum=True, limit=ORACLE_SUBSET_LIMIT
+    )
     return _spectrum_delta(m, num_sensors, lam_range)
 
 

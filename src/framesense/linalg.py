@@ -39,6 +39,9 @@ UNBOUNDED = math.inf
 
 _MIN_ROW_NORM = 1e-12
 
+# Subset walks refuse to enumerate more subsets than this.
+ORACLE_SUBSET_LIMIT = 10_000_000
+
 
 class ConvergenceError(RuntimeError):
     """The LAPACK eigenvalue routine failed to converge."""
@@ -242,7 +245,8 @@ def _unit_mse(lam) -> float:
     return float((1.0 / lam).sum())
 
 
-def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
+def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool,
+                  limit: int = ORACLE_SUBSET_LIMIT):
     """One pass over every size-``size`` row subset, in lexicographic order.
 
     Serves the exhaustive oracles and the spectrum-concentration search, so
@@ -264,9 +268,14 @@ def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
     Raises
     ------
     ValueError
-        If a subset's Gram matrix (``spectrum``) or frame potential (``fp``)
+        If there are more than ``limit`` subsets (the enumeration guard), or
+        if a subset's Gram matrix (``spectrum``) or frame potential (``fp``)
         could overflow float64.
     """
+    count = math.comb(m.n, size)
+    if count > limit:
+        raise ValueError(f"C({m.n}, {size}) = {count} subsets exceeds the "
+                         f"enumeration guard of {limit}")
     e = m.entries
     # Every entry of a subset's Gram matrix is at most the sum of its squared
     # row norms in magnitude, and its frame potential, like every entry of
@@ -343,15 +352,16 @@ def row_normalize(psi) -> SensingMatrix:
     Raises
     ------
     ValueError
-        Naming the first offending row if any norm is at or below 1e-12.
+        Naming the first offending row if any norm is at or below 1e-12, or
+        overflows float64.
     """
     m = as_sensing_matrix(psi)
-    norms = m.row_norms
-    bad = np.flatnonzero(norms <= _MIN_ROW_NORM)
+    with np.errstate(over="ignore"):
+        norms = m.row_norms
+    bad = np.flatnonzero(~((norms > _MIN_ROW_NORM) & (norms < math.inf)))
     if bad.size:
-        raise ValueError(
-            f"row {int(bad[0])} has norm {norms[bad[0]]:.3e}, too small to normalize"
-        )
+        why = "too small" if norms[bad[0]] <= _MIN_ROW_NORM else "too large"
+        raise ValueError(f"row {bad[0]} has norm {norms[bad[0]]:.3e}, {why} to normalize")
     return SensingMatrix(m.entries / norms[:, None])
 
 

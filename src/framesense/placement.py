@@ -12,7 +12,10 @@ each written into one reused buffer of about 1 MiB.
 Reference baselines (determinant, error-trace, mutual-information and
 coherence greedies, which share one best-in loop, plus a seeded random picker
 and exhaustive search) share the same Selection record so sweeps can treat
-them interchangeably.
+them interchangeably. The determinant, error-trace and mutual-information
+greedies score every candidate in the eigenbasis of a K x K Gram matrix, one
+``eigh`` step shared by all three, so each of their steps costs O(N K^2) and
+none forms an N x N array.
 
 Every scan follows one tie rule: values within a rounding bound of the best
 count as tied, and the lowest row index among them wins. The main
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_RTOL, _walk_subsets, as_sensing_matrix, row_normalize
+from .linalg import ORACLE_SUBSET_LIMIT, RANK_RTOL, _walk_subsets, as_sensing_matrix, row_normalize
 from .seeding import philox_generator
 
 __all__ = [
@@ -59,9 +62,6 @@ _PLACERS = {
 
 ALGORITHMS = tuple(_PLACERS)
 
-# Exhaustive search refuses to enumerate more subsets than this.
-ORACLE_SUBSET_LIMIT = 10_000_000
-
 _MAX_SEED = 2**64
 
 # Every scan counts as tied each candidate within this fraction of a scale of
@@ -87,7 +87,7 @@ _PAIR_BLOCK_ENTRIES = 2**17
 
 
 class CovarianceConditioningError(RuntimeError):
-    """A conditional-variance solve failed or returned a nonpositive value."""
+    """A conditional variance of the mutual-information greedy is not positive and finite."""
 
 
 @dataclass(frozen=True)
@@ -377,12 +377,22 @@ def _eigen_best_in(psi, num_sensors, opts, score, minimize=False) -> Selection:
     e = m.entries
 
     def objective(chosen, free):
-        lam, vec = np.linalg.eigh(e[chosen].T @ e[chosen])
-        # directions lost by the package's rank rule weigh exactly 1 / ridge
-        lam[lam < RANK_RTOL * lam[-1]] = 0.0
-        return score(1.0 / (ridge + lam), (e[free] @ vec) ** 2)
+        return score(*_eigen_step(e[chosen].T @ e[chosen], ridge, e[free]))
 
     return _best_in(n, num_sensors, objective, minimize)
+
+
+def _eigen_step(g, shift, x):
+    """Eigenvalues of ``(shift I + G)^-1`` and coordinates of ``x`` in its eigenbasis.
+
+    G is a K x K Gram matrix. Returns ``inv`` and the squared coordinates
+    ``y2`` of the rows of ``x``, so each row's ``x^T (shift I + G)^-1 x`` is
+    its entry of ``y2 @ inv``.
+    """
+    lam, vec = np.linalg.eigh(g)
+    # directions lost by the package's rank rule weigh exactly 1 / shift
+    lam[lam < RANK_RTOL * lam[-1]] = 0.0
+    return 1.0 / (shift + lam), (x @ vec) ** 2
 
 
 def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
@@ -393,35 +403,45 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
     chosen set to its conditional variance given all other unchosen
     locations, both through ridged Schur complements; with
     ``M = cov[free, free] + ridge * I`` the latter is ``1 / (M^-1)_ii - ridge``.
+
+    Both come from q = x^T (s I + G)^-1 x with s = sigma2 + ridge
+    (Woodbury): the former is ``sigma2 + s q`` with G the Gram matrix of the
+    chosen rows, the latter ``(sigma2 + ridge q) / (1 - q)`` with G that of
+    the free rows. No N x N covariance is formed; each step takes two K x K
+    eigenbases, O(N K^2), and memory stays O(N K). A conditional variance
+    that is not positive and finite raises CovarianceConditioningError.
     """
     m = as_sensing_matrix(psi)
     opts = opts or PlacementOptions(algorithm="mi")
     n = m.n
     if not 1 <= num_sensors < n:
         raise ValueError(f"sensor count must lie in [1, {n - 1}], got {num_sensors}")
-    eps = opts.resolved_ridge(m)
-    cov = m.entries @ m.entries.T + opts.sigma2 * np.eye(n)
+    ridge = opts.resolved_ridge(m)
+    sigma2 = opts.sigma2
+    s = sigma2 + ridge
+    e = m.entries
 
     def objective(chosen, free):
-        numer = np.diag(cov)[free]
-        try:
-            if chosen:
-                cross = cov[np.ix_(chosen, free)]
-                block = cov[np.ix_(chosen, chosen)] + eps * np.eye(len(chosen))
-                numer = numer - np.einsum("ij,ij->j", cross, np.linalg.solve(block, cross))
-            inv = np.linalg.inv(cov[np.ix_(free, free)] + eps * np.eye(free.size))
-        except np.linalg.LinAlgError as exc:
-            raise CovarianceConditioningError(f"conditioning failed: {exc}") from exc
-        denom = 1.0 / np.diag(inv) - eps
-        bad = np.flatnonzero(~((numer > 0.0) & (denom > 0.0)))
+        x = e[free]
+        inv, y2 = _eigen_step(e[chosen].T @ e[chosen], s, x)
+        numer = sigma2 + s * (y2 @ inv)
+        inv, y2 = _eigen_step(x.T @ x, s, x)
+        q = y2 @ inv
+        # q >= 1 only by rounding, on rows far larger than s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = (sigma2 + ridge * q) / (1.0 - q)
+        bad = np.flatnonzero(~((0.0 < numer) & (numer < np.inf) & (0.0 < denom) & (denom < np.inf)))
         if bad.size:
             raise CovarianceConditioningError(
-                f"conditional variance at location {int(free[bad[0]])} is not positive"
+                f"conditional variance at location {int(free[bad[0]])} is not positive and finite"
             )
         values = numer / denom
         return values, float(values.max())
 
-    return _best_in(n, num_sensors, objective)
+    try:
+        return _best_in(n, num_sensors, objective)
+    except np.linalg.LinAlgError as exc:
+        raise CovarianceConditioningError(f"conditioning failed: {exc}") from exc
 
 
 def greedy_coherence(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
@@ -496,12 +516,6 @@ def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
         raise ValueError(f"sensor count must lie in [1, {n}], got {num_sensors}")
     if objective not in ("fp", "mse"):
         raise ValueError(f"objective must be 'fp' or 'mse', got {objective!r}")
-    count = math.comb(n, num_sensors)
-    if count > ORACLE_SUBSET_LIMIT:
-        raise ValueError(
-            f"C({n}, {num_sensors}) = {count} subsets exceeds the enumeration "
-            f"guard of {ORACLE_SUBSET_LIMIT}"
-        )
     fp_best, mse_best, _ = _walk_subsets(
         m, num_sensors, fp=objective == "fp", spectrum=objective == "mse"
     )

@@ -300,6 +300,35 @@ def exact_mi(psi, num_sensors, sigma2, ridge):
     return chosen
 
 
+def naive_mi(psi, num_sensors, sigma2, ridge):
+    """Mutual-information greedy on the full N x N location covariance, in floats.
+
+    Forms ``cov = psi psi^T + sigma2 I``. Each step solves the ridged chosen
+    block for the numerators ``cov_ii - c^T (cov[chosen, chosen] + ridge I)^-1 c``
+    and inverts ``M = cov[free, free] + ridge I`` for the denominators
+    ``1 / (M^-1)_ii - ridge``, O(N^3) per step. Ratios within 1e-12 of the
+    largest, relative to it, tie, and the lowest index among them wins.
+    Returns the pick order.
+    """
+    a = np.asarray(psi, dtype=float)
+    n = a.shape[0]
+    cov = a @ a.T + sigma2 * np.eye(n)
+    free = list(range(n))
+    chosen = []
+    for _ in range(num_sensors):
+        numer = np.diag(cov)[free]
+        if chosen:
+            cross = cov[np.ix_(chosen, free)]
+            block = cov[np.ix_(chosen, chosen)] + ridge * np.eye(len(chosen))
+            numer = numer - np.einsum("ij,ij->j", cross, np.linalg.solve(block, cross))
+        inv = np.linalg.inv(cov[np.ix_(free, free)] + ridge * np.eye(len(free)))
+        values = numer / (1.0 / np.diag(inv) - ridge)
+        top = values.max()
+        pos = int(np.argmax(values >= top - 1e-12 * top))
+        chosen.append(free.pop(pos))
+    return chosen
+
+
 def _det_and_inverse(m):
     n = len(m)
     rows = [list(row) + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(m)]

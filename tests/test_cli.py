@@ -90,6 +90,14 @@ class TestPlace:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: frame potential of the rows overflows")
 
+    def test_overflowing_row_norm_exits_2(self, tmp_path):
+        # the default run normalizes rows, whose squared entries overflow here
+        path = tmp_path / "huge.csv"
+        save_matrix(path, np.random.default_rng(48).normal(size=(8, 3)) * 1e160)
+        proc = run_cli("place", "--matrix", str(path), "--sensors", "4", check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: row 0 has norm inf, too large to normalize")
+
     def test_missing_matrix_file_exits_2(self):
         proc = run_cli("place", "--matrix", "/no/such/file.csv", "--sensors", "2",
                        check=False)

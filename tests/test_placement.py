@@ -10,6 +10,8 @@ import pytest
 
 from framesense import (
     ALGORITHMS,
+    FAMILIES,
+    CovarianceConditioningError,
     ORACLE_SUBSET_LIMIT,
     GeneratorSpec,
     PlacementOptions,
@@ -38,6 +40,7 @@ from _oracles import (
     frame_potential_oracle,
     marginal_gain,
     naive_framesense,
+    naive_mi,
     row_gram,
 )
 
@@ -64,6 +67,11 @@ def random_instance(seed, n=None, k=None):
     return rng.normal(size=(n, k))
 
 
+def family_scale(family):
+    """The duplicate-block factor ``stacked_scaled`` needs, None for the rest."""
+    return 4.0 if family == "stacked_scaled" else None
+
+
 def duplicated_row_instance(seed):
     """Random instance whose row ``copy`` repeats the lower row ``twin``."""
     psi = random_instance(seed)
@@ -82,6 +90,13 @@ class TestFramesense:
             with pytest.raises(ValueError, match="frame potential of the rows overflows"):
                 framesense(psi * scale, 4, PlacementOptions(normalize_rows=False))
         assert framesense(psi * 1e100, 4).chosen == framesense(psi, 4).chosen
+
+    def test_overflowing_row_norm_raises_value_error(self):
+        # squared entries past float64 would normalize the rows to zero
+        psi = random_instance(47, n=8, k=3)
+        psi[1:] *= 1e160
+        with pytest.raises(ValueError, match="row 1 has norm inf, too large to normalize"):
+            framesense(psi, 4)
 
     def test_duplicate_basis_rows(self):
         sel = framesense(E_DUP, 2)
@@ -370,6 +385,32 @@ class TestGreedyMi:
         with pytest.raises(ValueError):
             greedy_mi(np.eye(3), 3)
 
+    def test_overflowing_gram_matrices_raise_conditioning_error(self):
+        psi = random_instance(47, n=8, k=3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CovarianceConditioningError):
+            greedy_mi(psi * 1e160, 4)
+
+    def test_matches_naive_covariance_reference(self):
+        for family in FAMILIES:
+            for n, k in ((12, 3), (40, 5), (100, 30)):
+                for seed in (0, 1):
+                    psi = generate(GeneratorSpec(family, n, k, seed=seed, scale=family_scale(family)))
+                    ls = (k, (n + k) // 2, n - 2)
+                    want = naive_mi(psi.entries, ls[-1], 1.0, PlacementOptions().resolved_ridge(psi))
+                    for l in ls:
+                        assert list(greedy_mi(psi, l).chosen) == want[:l], (family, n, seed, l)
+
+    def test_no_n_by_n_covariance(self):
+        psi = generate(GeneratorSpec("gaussian", 2000, 10, seed=0))
+        tracemalloc.start()
+        try:
+            greedy_mi(psi, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2000 x 2000 float64 covariance alone would take 30.5 MiB
+        assert peak < 8 * 2**20
+
 
 class TestGreedyCoherence:
     def test_never_keeps_a_parallel_pair(self):
@@ -439,6 +480,38 @@ class TestBestInTies:
             # each pick depends only on the earlier ones, so L = 4 is a prefix
             for l in (4, 8):
                 assert list(greedy_mi(psi, l).chosen) == want[:l], (seed, l)
+
+
+class TestPrefixProperty:
+    # each step depends only on the steps before it, never on the target
+    # count, so a run at one sensor count is a prefix of the run at another
+    CASES = [
+        (family, n, k, seed)
+        for family in ("gaussian", "bernoulli", "dct_frame", "stacked_scaled")
+        for n, k in ((12, 3), (40, 5))
+        for seed in (0, 1)
+    ]
+
+    @pytest.mark.parametrize("placer", [greedy_det, greedy_mse, greedy_mi, greedy_coherence])
+    def test_best_in_picks_lead_the_run_at_the_largest_count(self, placer):
+        for family, n, k, seed in self.CASES:
+            psi = generate(GeneratorSpec(family, n, k, seed=seed, scale=family_scale(family)))
+            full = placer(psi, n - 2)
+            for l in (k, (n + k) // 2, n - 3):
+                sel = placer(psi, l)
+                assert sel.chosen == full.chosen[:l], (family, n, seed, l)
+                assert sel.objective_trace == full.objective_trace[: len(sel.objective_trace)]
+
+    @pytest.mark.parametrize("normalize_rows", [True, False])
+    def test_framesense_eliminations_lead_the_run_at_the_smallest_count(self, normalize_rows):
+        opts = PlacementOptions(normalize_rows=normalize_rows)
+        for family, n, k, seed in self.CASES:
+            psi = generate(GeneratorSpec(family, n, k, seed=seed, scale=family_scale(family)))
+            full = framesense(psi, 1, opts)
+            for l in (k, (n + k) // 2, n - 2):
+                sel = framesense(psi, l, opts)
+                assert sel.eliminated == full.eliminated[: n - l], (family, n, seed, l)
+                assert sel.objective_trace == full.objective_trace[: n - l]
 
 
 class TestRandomPlacement:
