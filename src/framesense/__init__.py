@@ -24,7 +24,6 @@ _HOMES = {
         "bounds": (
             "BOUNDS_CSV_HEADER",
             "BoundsReport",
-            "MPScenario",
             "compute_bounds_report",
             "delta_bound",
             "fp_approx_factor",
@@ -53,7 +52,6 @@ _HOMES = {
             "RANK_RTOL",
             "UNBOUNDED",
             "ConvergenceError",
-            "NoiseModel",
             "SensingMatrix",
             "as_sensing_matrix",
             "coherence",

@@ -30,7 +30,6 @@ from .matio import FLOAT_FMT, csv_row
 __all__ = [
     "BOUNDS_CSV_HEADER",
     "BoundsReport",
-    "MPScenario",
     "compute_bounds_report",
     "delta_bound",
     "fp_approx_factor",
@@ -202,27 +201,11 @@ def untf_reference(num_sensors: int, k: int):
     )
 
 
-@dataclass(frozen=True)
-class MPScenario:
-    """Asymptotic scenario: K/L -> c1 and N/L -> c2 with Gaussian entries.
-
-    ``k`` is informational; the closed forms below depend only on the two
-    ratios.
-    """
-
-    c1: float
-    c2: float
-    k: int | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.c1 < 1.0 < self.c2):
-            raise ValueError(f"need 0 < c1 < 1 < c2, got c1={self.c1}, c2={self.c2}")
-
-
-def mp_scenario(scenario, c2: float | None = None):
+def mp_scenario(c1: float, c2: float):
     """Closed-form factors for the asymptotic Gaussian scenario.
 
-    Accepts an :class:`MPScenario` or the two ratios directly. Returns
+    The scenario has Gaussian entries with K/L -> c1 and N/L -> c2, and
+    needs ``0 < c1 < 1 < c2``. Returns
     ``(gamma, eta, spectrum_low, spectrum_high)`` where the spectrum of the scaled
     selected Gram matrix concentrates on
     ``sqrt(1 / c1) * (1 -+ sqrt(c1))**2`` and
@@ -235,10 +218,8 @@ def mp_scenario(scenario, c2: float | None = None):
     same inputs; that figure does not follow from the expression above, so
     the computed product is reported as is. See :func:`mp_scenario_report`.
     """
-    if not isinstance(scenario, MPScenario):
-        scenario = MPScenario(float(scenario), float(c2))
-    c1 = scenario.c1
-    c2 = scenario.c2
+    if not (0.0 < c1 < 1.0 < c2):
+        raise ValueError(f"need 0 < c1 < 1 < c2, got c1={c1}, c2={c2}")
     gamma = 1.0 + (c2**2 - 1.0) / math.e
     root = math.sqrt(c1)
     base = math.sqrt(1.0 / c1)
@@ -248,19 +229,17 @@ def mp_scenario(scenario, c2: float | None = None):
     return gamma, eta, spectrum_low, spectrum_high
 
 
-def mp_scenario_report(scenario, c2: float | None = None) -> str:
+def mp_scenario_report(c1: float, c2: float) -> str:
     """Flat key=value report for the asymptotic scenario factors.
 
     Includes a note line flagging that the eta value is the literal product
     of its factors, since quoted shorthand values for this construction do
     not always match it.
     """
-    if not isinstance(scenario, MPScenario):
-        scenario = MPScenario(float(scenario), float(c2))
-    gamma, eta, spectrum_low, spectrum_high = mp_scenario(scenario)
+    gamma, eta, spectrum_low, spectrum_high = mp_scenario(c1, c2)
     lines = [
-        f"c1={FLOAT_FMT % scenario.c1}",
-        f"c2={FLOAT_FMT % scenario.c2}",
+        f"c1={FLOAT_FMT % c1}",
+        f"c2={FLOAT_FMT % c2}",
         f"gamma={FLOAT_FMT % gamma}",
         f"eta={FLOAT_FMT % eta}",
         f"spectrum_low={FLOAT_FMT % spectrum_low}",

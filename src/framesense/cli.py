@@ -3,8 +3,10 @@
 Subcommands: ``place`` selects sensors for one matrix and prints the result;
 ``sweep-mse``, ``sweep-time`` and ``audit`` run config-driven experiments
 and write CSV outputs; ``matgen`` materializes a test matrix to disk.
-Constraint violations (bad dimensions, unknown names, malformed files) exit
-with status 2; anything else nonzero is a bug.
+Constraint violations (bad dimensions, unknown names, malformed files) and
+the documented numeric failures (a ridge or a conditional variance that
+overflows, an eigenvalue solver that does not converge) exit with status 2;
+anything else nonzero is a bug.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import sys
 
 # The harness, and the bounds and thread pool it pulls in, is imported only
 # by the commands that run it, so a ``place`` process never loads them.
-from .linalg import as_sensing_matrix, frame_potential, mse
+from .linalg import ConvergenceError, as_sensing_matrix, frame_potential, mse
 from .matgen import FAMILIES, GeneratorSpec, generate
 from .matio import FLOAT_FMT, load_matrix, save_matrix
-from .placement import ALGORITHMS, PlacementOptions, run_placement
+from .placement import ALGORITHMS, CovarianceConditioningError, PlacementOptions, run_placement
 
 __all__ = ["main"]
 
@@ -160,7 +162,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, IndexError, OSError, CovarianceConditioningError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

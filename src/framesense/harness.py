@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -227,12 +228,12 @@ class ResultTable:
     """Raw per-cell rows plus per-group aggregates, with CSV writers."""
 
     raw: list
-    aggregates: list = field(default_factory=list)
     kind: str = "mse"
 
-    def __post_init__(self):
-        if not self.aggregates:
-            self.aggregates = _aggregate(self.raw)
+    @cached_property
+    def aggregates(self) -> list:
+        """Per-group means and spreads of ``raw``, computed on first read."""
+        return _aggregate(self.raw)
 
     def write(self, prefix) -> list:
         """Write ``<prefix>_raw.csv``, ``<prefix>_agg.csv``, ``<prefix>_plot``."""

@@ -10,14 +10,12 @@ problems, meaning hundreds of candidate rows and tens of columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "NoiseModel",
     "RANK_RTOL",
     "SensingMatrix",
     "UNBOUNDED",
@@ -110,17 +108,6 @@ def as_sensing_matrix(psi) -> SensingMatrix:
     return SensingMatrix(psi)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """I.i.d. zero-mean measurement noise with common variance sigma2."""
-
-    sigma2: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
-
-
 def _selection_indices(sel, n: int) -> np.ndarray:
     idx = np.asarray(list(sel), dtype=np.int64)
     if idx.ndim != 1:
@@ -208,16 +195,7 @@ def frame_potential(psi, sel=None) -> float:
     return float(np.sum(g * g))
 
 
-def _sigma2(noise) -> float:
-    if isinstance(noise, NoiseModel):
-        return noise.sigma2
-    value = float(noise)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"sigma2 must be positive and finite, got {value}")
-    return value
-
-
-def mse(psi, sel, noise=1.0) -> float:
+def mse(psi, sel, sigma2=1.0) -> float:
     """Mean square error of least squares reconstruction from the selection.
 
     Equals sigma2 times the sum of reciprocal eigenvalues of the selection's
@@ -230,10 +208,12 @@ def mse(psi, sel, noise=1.0) -> float:
     psi : SensingMatrix or array_like
     sel : iterable of int
         Distinct row indices.
-    noise : NoiseModel or float, optional
-        Noise variance, default 1.0.
+    sigma2 : float, optional
+        Noise variance, positive and finite; default 1.0.
     """
-    sigma2 = _sigma2(noise)
+    sigma2 = float(sigma2)
+    if not (math.isfinite(sigma2) and sigma2 > 0.0):
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     return sigma2 * _unit_mse(sym_eigenvalues(gram(psi, sel)))
 
 

@@ -57,51 +57,41 @@ def load_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`save_matrix`.
 
     Blank lines are ignored. Ragged rows and unparsable entries raise
-    ValueError naming the offending line number.
+    ValueError naming the offending line number. The file is read once, so
+    ``path`` may be a pipe such as ``/dev/stdin``.
     """
     with open(path, "r", encoding="ascii") as fh:
-        # numpy parses each field as float() does, in C. Every file it
-        # refuses goes to the line scanner below, which decides what float()
-        # accepts and names the line of an error.
-        if _numpy_reads_like_float(fh):
-            fh.seek(0)
-            try:
-                return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                pass
-        fh.seek(0)
-        rows = []
-        width = None
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {width} values, got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: could not parse a value in {text!r}"
-                ) from None
+        content = fh.read()
+    lines = content.split("\n")
+    # numpy parses each field as float() does, in C. Every file it refuses
+    # goes to the line scanner below, which decides what float() accepts and
+    # names the line of an error. numpy takes the ASCII information
+    # separators, which float() rejects, for whitespace, and warns instead of
+    # failing on a file without rows.
+    if content and not content.isspace() and not any(c in content for c in _SEPARATORS):
+        try:
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    rows = []
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        parts = text.split(",")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {width} values, got {len(parts)}"
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: could not parse a value in {text!r}"
+            ) from None
     if not rows:
         raise ValueError(f"{path}: no matrix rows found")
     return np.array(rows, dtype=np.float64)
-
-
-def _numpy_reads_like_float(fh) -> bool:
-    """Whether ``np.loadtxt`` can only agree with the line scanner on ``fh``.
-
-    numpy takes the ASCII information separators, which float() rejects,
-    for whitespace, and warns instead of failing on a file without rows.
-    """
-    try:
-        text = fh.read()
-    except UnicodeDecodeError:
-        return False
-    return bool(text) and not text.isspace() and not any(c in text for c in _SEPARATORS)

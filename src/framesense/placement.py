@@ -26,7 +26,7 @@ row-normalized copy by default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,16 +96,14 @@ class PlacementOptions:
 
     ``normalize_rows`` affects only the frame-potential greedy, which runs
     on a unit-norm copy when set; the other objectives already account for
-    row energies. ``ridge`` defaults to 1e-6 times the mean squared row norm
-    of the matrix at hand when left as None. ``seed`` feeds the random
-    picker only.
+    row energies. ``seed`` feeds the random picker only, and ``sigma2`` the
+    mutual-information greedy.
     """
 
     algorithm: str = "framesense"
     normalize_rows: bool = True
     seed: int = 0
     sigma2: float = 1.0
-    ridge: float | None = None
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -114,14 +112,18 @@ class PlacementOptions:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if self.ridge is not None and not (math.isfinite(self.ridge) and self.ridge > 0.0):
-            raise ValueError(f"ridge must be positive and finite, got {self.ridge}")
 
-    def resolved_ridge(self, matrix) -> float:
-        if self.ridge is not None:
-            return self.ridge
-        m = as_sensing_matrix(matrix)
-        return 1e-6 * float(np.mean(m.row_norms**2))
+
+def _ridge(m) -> float:
+    """The ridge of the det, mse and mi greedies: 1e-6 times the mean squared row norm.
+
+    Raises ValueError when that overflows float64.
+    """
+    with np.errstate(over="ignore"):
+        ridge = 1e-6 * float(np.mean(m.row_norms**2))
+    if not math.isfinite(ridge):
+        raise ValueError("ridge 1e-6 * mean squared row norm overflows float64; rescale the matrix")
+    return ridge
 
 
 @dataclass(frozen=True)
@@ -332,7 +334,9 @@ def greedy_det(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     ``log(1 + x^T G^-1 x)`` (matrix determinant lemma), scored for every
     candidate in one eigenbasis of G per step. ``objective_trace`` holds the
     gain of each pick; ``K * log(ridge)`` plus their sum is the log
-    determinant of the final ridged Gram matrix.
+    determinant of the final ridged Gram matrix. The ridge is 1e-6 times
+    the mean squared row norm; a matrix where that overflows float64 raises
+    ValueError.
     """
 
     def score(inv, y2):
@@ -340,7 +344,7 @@ def greedy_det(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
         # q rounds in proportion to |x|^2 max(inv); log1p divides that by 1 + q
         return np.log1p(q), float(y2.sum(axis=1).max() * inv.max() / (1.0 + q.max()))
 
-    return _eigen_best_in(psi, num_sensors, opts, score)
+    return _eigen_best_in(psi, num_sensors, score)
 
 
 def greedy_mse(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
@@ -350,22 +354,31 @@ def greedy_mse(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     ``|G^-1 x|^2 / (1 + x^T G^-1 x)`` (Sherman-Morrison). One eigenbasis of
     G per step scores every candidate, and in it the ridge, which dominates
     the trace until the chosen rows span all K directions, weighs every
-    candidate alike instead of rounding differently for each.
+    candidate alike instead of rounding differently for each. The ridge is
+    that of :func:`greedy_det`; it scales with the rows, so the picks do not
+    depend on the scale of the matrix.
     """
 
     def score(inv, y2):
         total = float(inv.sum())
         return total - (y2 @ inv**2) / (1.0 + y2 @ inv), total
 
-    return _eigen_best_in(psi, num_sensors, opts, score, minimize=True)
+    return _eigen_best_in(psi, num_sensors, score, minimize=True, degree=-2)
 
 
-def _eigen_best_in(psi, num_sensors, opts, score, minimize=False) -> Selection:
+def _eigen_best_in(psi, num_sensors, score, minimize=False, degree=0) -> Selection:
     """Best-in loop scored in the eigenbasis of the chosen rows' Gram matrix.
 
     Each step ``score(inv, y2)`` gets the eigenvalues ``inv`` of the ridged
     inverse Gram matrix G^-1 of the chosen rows and the squared coordinates
     ``y2`` of the free rows in its eigenbasis, so x^T G^-1 x = y2 @ inv.
+
+    The loop scores the rows times 2**-p, with p the binary exponent of the
+    largest entry, and the ridge times 4**-p, so ``inv`` neither underflows
+    nor overflows however large or small the rows are. A power of two scales
+    every product and sum exactly, so the picks are those of the unscaled
+    rows wherever these stay in range. The trace, of the given ``degree`` of
+    homogeneity in the rows, is mapped back exactly.
     """
     m = as_sensing_matrix(psi)
     n, k = m.shape
@@ -373,13 +386,19 @@ def _eigen_best_in(psi, num_sensors, opts, score, minimize=False) -> Selection:
         raise ValueError(
             f"sensor count must lie in [{k}, {n}] for a {n} x {k} matrix, got {num_sensors}"
         )
-    ridge = (opts or PlacementOptions()).resolved_ridge(m)
-    e = m.entries
+    ridge = _ridge(m)
+    p = math.frexp(float(np.abs(m.entries).max()))[1]
+    e = np.ldexp(m.entries, -p)
+    shift = math.ldexp(ridge, -2 * p)
 
     def objective(chosen, free):
-        return score(*_eigen_step(e[chosen].T @ e[chosen], ridge, e[free]))
+        return score(*_eigen_step(e[chosen].T @ e[chosen], shift, e[free]))
 
-    return _best_in(n, num_sensors, objective, minimize)
+    sel = _best_in(n, num_sensors, objective, minimize)
+    # a trace value past float64 in the rows' own scale reads inf
+    with np.errstate(over="ignore"):
+        trace = np.ldexp(sel.objective_trace, degree * p)
+    return replace(sel, objective_trace=tuple(trace.tolist()))
 
 
 def _eigen_step(g, shift, x):
@@ -408,15 +427,20 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
     (Woodbury): the former is ``sigma2 + s q`` with G the Gram matrix of the
     chosen rows, the latter ``(sigma2 + ridge q) / (1 - q)`` with G that of
     the free rows. No N x N covariance is formed; each step takes two K x K
-    eigenbases, O(N K^2), and memory stays O(N K). A conditional variance
-    that is not positive and finite raises CovarianceConditioningError.
+    eigenbases, O(N K^2), and memory stays O(N K). The ridge is that of
+    :func:`greedy_det`. A conditional variance that is not positive and
+    finite, or a ridge that overflows float64, raises
+    CovarianceConditioningError.
     """
     m = as_sensing_matrix(psi)
     opts = opts or PlacementOptions(algorithm="mi")
     n = m.n
     if not 1 <= num_sensors < n:
         raise ValueError(f"sensor count must lie in [1, {n - 1}], got {num_sensors}")
-    ridge = opts.resolved_ridge(m)
+    try:
+        ridge = _ridge(m)
+    except ValueError as exc:
+        raise CovarianceConditioningError(f"conditioning failed: {exc}") from exc
     sigma2 = opts.sigma2
     s = sigma2 + ridge
     e = m.entries

@@ -9,7 +9,6 @@ import pytest
 from framesense import (
     BOUNDS_CSV_HEADER,
     BoundsReport,
-    MPScenario,
     ORACLE_SUBSET_LIMIT,
     compute_bounds_report,
     delta_bound,
@@ -256,25 +255,22 @@ class TestUntfReference:
 
 class TestMpScenario:
     def test_reference_point(self):
-        gamma, eta, low, high = mp_scenario(MPScenario(0.25, 6.0))
+        gamma, eta, low, high = mp_scenario(0.25, 6.0)
         assert gamma == pytest.approx(1.0 + 35.0 / math.e, rel=1e-15)
         assert 13.8 <= gamma <= 14.0
         assert low == 0.5
         assert high == 4.5
         assert eta == pytest.approx(gamma * 81.0, rel=1e-15)
 
-    def test_two_argument_form(self):
-        assert mp_scenario(0.25, 6.0) == mp_scenario(MPScenario(0.25, 6.0))
-
     def test_gamma_limit_at_unit_aspect(self):
         gamma, _, _, _ = mp_scenario(0.5, 1.0 + 1e-9)
         assert gamma == pytest.approx(1.0, abs=1e-8)
 
     def test_scenario_validation(self):
-        with pytest.raises(ValueError):
-            MPScenario(1.5, 6.0)
-        with pytest.raises(ValueError):
-            MPScenario(0.25, 0.9)
+        for c1, c2 in ((1.5, 6.0), (0.25, 0.9), (0.0, 6.0), (math.nan, 6.0)):
+            for fn in (mp_scenario, mp_scenario_report):
+                with pytest.raises(ValueError, match="need 0 < c1 < 1 < c2"):
+                    fn(c1, c2)
 
     def test_report_documents_eta_product(self):
         text = mp_scenario_report(0.25, 6.0)

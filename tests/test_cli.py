@@ -98,6 +98,39 @@ class TestPlace:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: row 0 has norm inf, too large to normalize")
 
+    @pytest.mark.parametrize("algo", ["mi", "det", "mse"])
+    def test_overflowing_ridge_exits_2(self, tmp_path, algo):
+        path = tmp_path / "huge.csv"
+        save_matrix(path, np.random.default_rng(48).normal(size=(8, 3)) * 1e160)
+        proc = run_cli("place", "--matrix", str(path), "--sensors", "4", "--algo", algo,
+                       check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "ridge 1e-6 * mean squared row norm overflows float64" in proc.stderr
+
+    def test_convergence_failure_exits_2(self, monkeypatch, capsys):
+        from framesense import cli
+        from framesense.linalg import ConvergenceError
+
+        def fail(*args):
+            raise ConvergenceError("eigenvalue computation did not converge")
+
+        monkeypatch.setattr(cli, "run_placement", fail)
+        argv = ["place", "--gen", "gaussian", "--n", "8", "--k", "3", "--sensors", "4"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: eigenvalue computation did not converge\n"
+
+    def test_matrix_from_stdin(self, tmp_path):
+        path = tmp_path / "m.csv"
+        save_matrix(path, generate(GeneratorSpec("gaussian", 12, 3, seed=5)))
+        want = run_cli("place", "--matrix", str(path), "--sensors", "5").stdout
+        proc = subprocess.run(
+            [sys.executable, "-m", "framesense", "place", "--matrix", "/dev/stdin", "--sensors", "5"],
+            input=path.read_text(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want
+
     def test_missing_matrix_file_exits_2(self):
         proc = run_cli("place", "--matrix", "/no/such/file.csv", "--sensors", "2",
                        check=False)

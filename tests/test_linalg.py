@@ -9,7 +9,6 @@ import pytest
 from framesense import (
     ConvergenceError,
     GeneratorSpec,
-    NoiseModel,
     RANK_RTOL,
     SensingMatrix,
     UNBOUNDED,
@@ -279,7 +278,7 @@ class TestMse:
     def test_noise_scaling(self):
         base = mse(PSI6, SEL6, 1.0)
         assert mse(PSI6, SEL6, 2.5) == pytest.approx(2.5 * base)
-        assert mse(PSI6, SEL6, NoiseModel(2.5)) == pytest.approx(2.5 * base)
+        assert mse(PSI6, SEL6, sigma2=2.5) == pytest.approx(2.5 * base)
 
     def test_matches_oracle(self):
         assert mse(PSI6, SEL6) == pytest.approx(mse_oracle(PSI6, SEL6), rel=1e-8)
@@ -294,10 +293,9 @@ class TestMse:
         assert RANK_RTOL == 1e-10
 
     def test_bad_sigma2(self):
-        with pytest.raises(ValueError):
-            mse(np.eye(2), (0, 1), 0.0)
-        with pytest.raises(ValueError):
-            NoiseModel(-1.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+                mse(np.eye(2), (0, 1), bad)
 
 
 class TestLeastSquares:

@@ -1,5 +1,8 @@
 """CSV matrix reader and writer."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -125,6 +128,32 @@ def test_whitespace_only_lines_are_skipped_and_counted(tmp_path):
     assert np.array_equal(load_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
     assert _load_error(path, "1,2\n  \n3\n") == f"{path}: line 3: expected 2 values, got 1"
     assert _load_error(path, " \t\n\n") == f"{path}: no matrix rows found"
+
+
+@pytest.mark.parametrize("text, want", [
+    ("0,1\n2,3\n4,5\n", [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]),
+    ("0,1\n2,x\n", "line 2: could not parse a value in '2,x'"),
+])
+def test_reads_a_pipe_once(tmp_path, text, want):
+    # a pipe can be read once and not rewound, for numpy and scanner alike
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=want):
+                load_matrix(path)
+        else:
+            assert load_matrix(path).tolist() == want
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_fields_read_as_float_reads_them(tmp_path):

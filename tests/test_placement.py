@@ -16,6 +16,7 @@ from framesense import (
     GeneratorSpec,
     PlacementOptions,
     Selection,
+    as_sensing_matrix,
     exhaustive_oracle,
     frame_potential,
     framesense,
@@ -29,7 +30,7 @@ from framesense import (
     row_normalize,
     run_placement,
 )
-from framesense.placement import _PAIR_BLOCK_ENTRIES
+from framesense.placement import _PAIR_BLOCK_ENTRIES, _ridge
 
 from _oracles import (
     _det_and_inverse,
@@ -43,6 +44,12 @@ from _oracles import (
     naive_mi,
     row_gram,
 )
+
+
+def default_ridge(psi):
+    """The ridge the det, mse and mi greedies use on ``psi``."""
+    return _ridge(as_sensing_matrix(psi))
+
 
 # three basis rows plus a duplicate of the first
 E_DUP = np.array([
@@ -303,7 +310,7 @@ class TestGreedyDet:
             psi = rng.normal(size=(10, 3))
             greedy = greedy_det(psi, 5)
             rand = random_placement(psi, 5, seed=seed)
-            eps = PlacementOptions().resolved_ridge(psi)
+            eps = default_ridge(psi)
 
             def logdet(sel):
                 block = psi[list(sel.chosen)]
@@ -316,7 +323,7 @@ class TestGreedyDet:
         # after row 0, row 236 raises the log determinant 5.7e-7 more than
         # row 70 (5e-9 relative): a real gap that no tie band may swallow
         psi = generate(GeneratorSpec("gaussian_row_normalized", 300, 10, seed=4))
-        ridge = Fraction(PlacementOptions().resolved_ridge(psi))
+        ridge = Fraction(default_ridge(psi))
         a = [[Fraction(float(v)) for v in row] for row in psi.entries]
 
         def det_with(i):
@@ -331,7 +338,7 @@ class TestGreedyDet:
     def test_trace_holds_log_det_gains(self):
         for seed in range(10):
             psi = generate(GeneratorSpec("gaussian", 40, 5, seed=seed)).entries
-            ridge = PlacementOptions().resolved_ridge(psi)
+            ridge = default_ridge(psi)
             sel = greedy_det(psi, 20)
             gains = np.array(sel.objective_trace)
             # log det is submodular, so the greedy's gains never increase
@@ -396,7 +403,7 @@ class TestGreedyMi:
                 for seed in (0, 1):
                     psi = generate(GeneratorSpec(family, n, k, seed=seed, scale=family_scale(family)))
                     ls = (k, (n + k) // 2, n - 2)
-                    want = naive_mi(psi.entries, ls[-1], 1.0, PlacementOptions().resolved_ridge(psi))
+                    want = naive_mi(psi.entries, ls[-1], 1.0, default_ridge(psi))
                     for l in ls:
                         assert list(greedy_mi(psi, l).chosen) == want[:l], (family, n, seed, l)
 
@@ -469,14 +476,14 @@ class TestBestInTies:
         for n, k, l, seeds in ((12, 3, 10, range(10)), (40, 5, 8, range(4))):
             for seed in seeds:
                 psi = generate(GeneratorSpec("bernoulli", n, k, seed=seed))
-                ridge = PlacementOptions().resolved_ridge(psi)
+                ridge = default_ridge(psi)
                 want = exact_best_in(psi.entries, l, objective, ridge)
                 assert list(placer(psi, l).chosen) == want, (n, seed)
 
     def test_mi_matches_exact_oracle_on_bernoulli(self):
         for seed in range(10):
             psi = generate(GeneratorSpec("bernoulli", 12, 3, seed=seed))
-            want = exact_mi(psi.entries, 8, 1.0, PlacementOptions().resolved_ridge(psi))
+            want = exact_mi(psi.entries, 8, 1.0, default_ridge(psi))
             # each pick depends only on the earlier ones, so L = 4 is a prefix
             for l in (4, 8):
                 assert list(greedy_mi(psi, l).chosen) == want[:l], (seed, l)
@@ -512,6 +519,32 @@ class TestPrefixProperty:
                 sel = framesense(psi, l, opts)
                 assert sel.eliminated == full.eliminated[: n - l], (family, n, seed, l)
                 assert sel.objective_trace == full.objective_trace[: n - l]
+
+
+class TestScale:
+    @pytest.mark.parametrize("p", [400, -400])
+    def test_power_of_two_scale_keeps_picks_and_traces(self, p):
+        # at 2**400 the error trace's inv**2 underflowed to 0 and at 2**-400
+        # it overflowed, so greedy_mse picked the lowest indices instead
+        c = math.ldexp(1.0, p)
+        for family, seed in (("gaussian", 3), ("stacked_scaled", 0), ("bernoulli", 1)):
+            psi = generate(GeneratorSpec(family, 40, 5, seed=seed, scale=family_scale(family))).entries
+            # the mse trace scales as the inverse Gram matrix; mi compares
+            # variances with sigma2, which scales with the squared rows
+            for algo, sigma2, degree in (("det", 1.0, 0), ("mse", 1.0, -2), ("mi", c * c, 0)):
+                base = run_placement(psi, 20, PlacementOptions(algorithm=algo))
+                sel = run_placement(psi * c, 20, PlacementOptions(algorithm=algo, sigma2=sigma2))
+                assert sel.chosen == base.chosen, (family, algo)
+                want = [math.ldexp(v, degree * p) for v in base.objective_trace]
+                if algo == "mi":
+                    # mi scores on the rows as given, where LAPACK rescales
+                    assert sel.objective_trace == pytest.approx(want, rel=1e-12), (family, algo)
+                else:
+                    assert list(sel.objective_trace) == want, (family, algo)
+
+    def test_mse_greedy_on_huge_rows_picks_by_error(self):
+        psi = np.random.default_rng(0).normal(size=(8, 3))
+        assert greedy_mse(psi * 1e150, 4).chosen == greedy_mse(psi, 4).chosen == (4, 2, 7, 6)
 
 
 class TestRandomPlacement:
@@ -624,14 +657,13 @@ class TestOptionsAndDispatch:
             PlacementOptions(seed=-3)
         with pytest.raises(ValueError):
             PlacementOptions(sigma2=0.0)
-        with pytest.raises(ValueError):
-            PlacementOptions(ridge=-1e-9)
 
     def test_default_ridge_tracks_row_energy(self):
-        opts = PlacementOptions()
         psi = np.array([[1.0, 0.0], [0.0, 2.0]])
-        assert opts.resolved_ridge(psi) == pytest.approx(1e-6 * 2.5)
-        assert PlacementOptions(ridge=0.5).resolved_ridge(psi) == 0.5
+        assert default_ridge(psi) == pytest.approx(1e-6 * 2.5)
+        assert default_ridge(psi * 2.0**100) == default_ridge(psi) * 2.0**200
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows float64"):
+            default_ridge(psi * 1e160)
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_run_placement_dispatch(self, algo):
