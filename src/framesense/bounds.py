@@ -17,8 +17,9 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .linalg import (
-    ORACLE_SUBSET_LIMIT,
     RANK_RTOL,
+    _check_sensor_count,
+    _enumerable,
     _walk_subsets,
     as_sensing_matrix,
     frame_potential,
@@ -55,8 +56,7 @@ def l_min_max(psi, num_sensors: int):
     is ``num_sensors / N`` times the total energy.
     """
     m = as_sensing_matrix(psi)
-    if not 1 <= num_sensors <= m.n:
-        raise ValueError(f"selection size must lie in [1, {m.n}], got {num_sensors}")
+    _check_sensor_count("l_min_max", num_sensors, 1, m.n, m.shape)
     sq = np.sort(m.row_norms**2)
     l_min = float(np.sum(sq[:num_sensors]))
     l_max = float(np.sum(sq[m.n - num_sensors :]))
@@ -71,11 +71,7 @@ def fp_approx_factor(psi, num_sensors: int) -> float:
     un-normalized matrix. Always at least 1.
     """
     m = as_sensing_matrix(psi)
-    if not m.k <= num_sensors <= m.n:
-        raise ValueError(
-            f"selection size must lie in [{m.k}, {m.n}] for a {m.n} x {m.k} matrix, "
-            f"got {num_sensors}"
-        )
+    _check_sensor_count("fp_approx_factor", num_sensors, m.k, m.n, m.shape)
     l_min, _, _ = l_min_max(m, num_sensors)
     if l_min <= 0.0:
         raise ValueError("zero rows make the approximation factor undefined")
@@ -140,12 +136,8 @@ def delta_bound(psi, num_sensors: int) -> float:
     subset Gram matrices could overflow float64.
     """
     m = as_sensing_matrix(psi)
-    if not 1 <= num_sensors <= m.n:
-        raise ValueError(f"selection size must lie in [1, {m.n}], got {num_sensors}")
-    # this module's guard, the one compute_bounds_report checks before calling here
-    _, _, lam_range = _walk_subsets(
-        m, num_sensors, fp=False, spectrum=True, limit=ORACLE_SUBSET_LIMIT
-    )
+    _check_sensor_count("delta_bound", num_sensors, 1, m.n, m.shape)
+    _, _, lam_range = _walk_subsets(m, num_sensors, fp=False, spectrum=True)
     return _spectrum_delta(m, num_sensors, lam_range)
 
 
@@ -298,7 +290,7 @@ def compute_bounds_report(psi, num_sensors: int, sel, delta: float | None = None
     d = l_mean / m.k
     if delta is None:
         delta = math.nan
-        if math.comb(m.n, num_sensors) <= ORACLE_SUBSET_LIMIT:
+        if _enumerable(m.n, num_sensors):
             delta = delta_bound(m, num_sensors)
     if math.isfinite(delta) and d > delta and l_min > 0.0:
         eta = mse_approx_factor(gamma, d, delta, l_min, l_max)

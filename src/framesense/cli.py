@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 # The harness, and the bounds and thread pool it pulls in, is imported only
 # by the commands that run it, so a ``place`` process never loads them.
@@ -67,11 +68,8 @@ def _load_config(args):
 
     cfg = ExperimentConfig.from_json(args.config)
     threads = getattr(args, "threads", None)
-    if threads is not None:
-        if threads < 1:
-            raise ValueError(f"threads must be at least 1, got {threads}")
-        cfg.threads = threads
-    return cfg
+    # a new config, so --threads passes the config's own check
+    return cfg if threads is None else replace(cfg, threads=threads)
 
 
 def _cmd_place(args) -> int:

@@ -25,11 +25,12 @@ from .bounds import (
     _spectrum_delta,
     compute_bounds_report,
 )
-from .linalg import _walk_subsets, as_sensing_matrix, frame_potential, mse
+from .linalg import _check_positive, _check_sensor_count, _enumerable, _walk_subsets
+from .linalg import as_sensing_matrix, frame_potential, mse
 from .matgen import FAMILIES, GeneratorSpec, generate
 from .matio import csv_row, load_matrix
-from .placement import ALGORITHMS, ORACLE_SUBSET_LIMIT, PlacementOptions, run_placement
-from .seeding import derive_seed
+from .placement import _SENSOR_RANGES, ALGORITHMS, PlacementOptions, run_placement
+from .seeding import _check_seed, derive_seed
 
 __all__ = [
     "AGG_CSV_HEADER",
@@ -75,7 +76,7 @@ class ExperimentConfig:
     entry_scale: float = 1.0
     matrix_csv: str | None = None
     l_values: tuple = (30, 35, 40, 45, 50, 55, 60)
-    n_values: tuple = (20, 50, 80, 110, 140, 170, 200)
+    n_values: tuple = (60, 80, 110, 140, 170, 200)
     trials: int = 100
     algorithms: tuple = ("framesense", "det", "mse", "random")
     sigma2: float = 1.0
@@ -100,10 +101,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}")
+        _check_positive(self.sigma2)
+        _check_seed(self.master_seed, "master_seed")
         if not self.l_values:
             raise ValueError("l_values must not be empty")
         if not self.n_values:
@@ -122,14 +121,23 @@ class ExperimentConfig:
         return cls(**data)
 
     def check_l_values(self, n: int, k: int):
-        """Validate the L grid against actual matrix dimensions."""
-        for l in self.l_values:
-            if "framesense" in self.algorithms and not k <= l <= n - 2:
-                raise ValueError(
-                    f"l={l} outside [{k}, {n - 2}] required by framesense on a {n} x {k} matrix"
-                )
-            if not 1 <= l <= n:
-                raise ValueError(f"l={l} outside [1, {n}] for a {n} x {k} matrix")
+        """Validate every (L, algorithm) cell of the grid on an N x K matrix."""
+        _check_grid(self.algorithms, self.l_values, n, k)
+
+
+def _check_grid(algorithms, l_values, n: int, k: int, where: str = ""):
+    """ValueError unless every algorithm accepts every L on an N x K matrix.
+
+    Each range is the placer's own, except that framesense also needs
+    L >= K, where its near-optimality factor holds. ``where`` prefixes the
+    message.
+    """
+    for l in l_values:
+        for algo in algorithms:
+            low, high = _SENSOR_RANGES[algo](n, k)
+            if algo == "framesense":
+                low = max(low, k)
+            _check_sensor_count(f"{where}{algo}", l, low, high, (n, k))
 
 
 def _flat_values(record):
@@ -381,14 +389,12 @@ def sweep_timing(cfg: ExperimentConfig) -> ResultTable:
     """
     if cfg.matrix_csv is not None:
         raise ValueError("matrix_csv applies to sweep-mse only; timing sweeps generate their matrices")
+    for n in cfg.n_values:
+        _check_grid(cfg.algorithms, ((n + 1) // 2,), n, cfg.k, f"timing grid point n={n}: ")
     rows = []
     for family in cfg.family:
         for n in cfg.n_values:
             l = (n + 1) // 2
-            if "framesense" in cfg.algorithms and not cfg.k <= l <= n - 2:
-                raise ValueError(
-                    f"timing grid point n={n} gives l={l} outside [{cfg.k}, {n - 2}]"
-                )
             for trial in range(cfg.trials):
                 seed = _trial_seed(cfg.master_seed, family, trial)
                 matrix = _trial_matrix(cfg, family, n, cfg.k, seed)
@@ -465,13 +471,14 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
     """
     if cfg.matrix_csv is not None:
         raise ValueError("matrix_csv applies to sweep-mse only; audits generate their matrices")
+    _check_grid(("framesense",), cfg.l_values, cfg.n, cfg.k, "audit: ")
     rows = []
     for family in cfg.family:
         for trial in range(cfg.trials):
             seed = _trial_seed(cfg.master_seed, family, trial)
             matrix = _trial_matrix(cfg, family, cfg.n, cfg.k, seed)
             for l in cfg.l_values:
-                if math.comb(matrix.n, l) > ORACLE_SUBSET_LIMIT:
+                if not _enumerable(matrix.n, l):
                     empty = BoundsReport(
                         matrix.n, matrix.k, l, *([math.nan] * 9)
                     )
@@ -482,13 +489,7 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
                                  f"skipped: C({matrix.n};{l}) exceeds enumeration guard")
                     )
                     continue
-                opts = PlacementOptions(
-                    algorithm="framesense",
-                    normalize_rows=False,
-                    seed=seed,
-                    sigma2=cfg.sigma2,
-                )
-                selection = run_placement(matrix, l, opts)
+                selection = run_placement(matrix, l, PlacementOptions(normalize_rows=False))
                 fp_greedy = frame_potential(matrix, selection.chosen)
                 mse_greedy = mse(matrix, selection.chosen, 1.0)
                 (_, fp_opt), (_, mse_opt), lam_range = _walk_subsets(

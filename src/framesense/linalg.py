@@ -211,10 +211,38 @@ def mse(psi, sel, sigma2=1.0) -> float:
     sigma2 : float, optional
         Noise variance, positive and finite; default 1.0.
     """
-    sigma2 = float(sigma2)
-    if not (math.isfinite(sigma2) and sigma2 > 0.0):
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
-    return sigma2 * _unit_mse(sym_eigenvalues(gram(psi, sel)))
+    return _check_positive(sigma2) * _unit_mse(sym_eigenvalues(gram(psi, sel)))
+
+
+def _check_positive(value, name: str = "sigma2") -> float:
+    """``value`` as a float; ValueError, naming it, unless it is positive and finite.
+
+    The one rule for a noise variance ``sigma2`` and for a matrix's
+    ``entry_scale``.
+    """
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _check_sensor_count(who: str, num_sensors: int, low: int, high: int, shape) -> None:
+    """ValueError, naming ``who``, unless ``low <= num_sensors <= high``.
+
+    The one range message of every placer, certificate and grid check;
+    ``shape`` is the (N, K) of the matrix the range belongs to.
+    """
+    if not low <= num_sensors <= high:
+        raise ValueError(f"{who} needs a sensor count in [{low}, {high}] for a "
+                         f"{shape[0]} x {shape[1]} matrix, got {num_sensors}")
+
+
+def _enumerable(n: int, size: int) -> bool:
+    """The enumeration guard: whether all size-``size`` subsets of ``n`` rows may be walked.
+
+    Reads :data:`ORACLE_SUBSET_LIMIT` at call time.
+    """
+    return math.comb(n, size) <= ORACLE_SUBSET_LIMIT
 
 
 def _unit_mse(lam) -> float:
@@ -225,8 +253,7 @@ def _unit_mse(lam) -> float:
     return float((1.0 / lam).sum())
 
 
-def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool,
-                  limit: int = ORACLE_SUBSET_LIMIT):
+def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
     """One pass over every size-``size`` row subset, in lexicographic order.
 
     Serves the exhaustive oracles and the spectrum-concentration search, so
@@ -248,14 +275,14 @@ def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool,
     Raises
     ------
     ValueError
-        If there are more than ``limit`` subsets (the enumeration guard), or
+        If there are more than :data:`ORACLE_SUBSET_LIMIT` subsets (the
+        enumeration guard, :func:`_enumerable`), or
         if a subset's Gram matrix (``spectrum``) or frame potential (``fp``)
         could overflow float64.
     """
-    count = math.comb(m.n, size)
-    if count > limit:
-        raise ValueError(f"C({m.n}, {size}) = {count} subsets exceeds the "
-                         f"enumeration guard of {limit}")
+    if not _enumerable(m.n, size):
+        raise ValueError(f"C({m.n}, {size}) = {math.comb(m.n, size)} subsets exceeds the "
+                         f"enumeration guard of {ORACLE_SUBSET_LIMIT}")
     e = m.entries
     # Every entry of a subset's Gram matrix is at most the sum of its squared
     # row norms in magnitude, and its frame potential, like every entry of

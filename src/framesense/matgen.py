@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SensingMatrix, row_normalize
-from .seeding import philox_generator
+from .linalg import SensingMatrix, _check_positive, row_normalize
+from .seeding import _check_seed, philox_generator
 
 __all__ = ["FAMILIES", "GeneratorSpec", "generate"]
 
@@ -26,8 +26,6 @@ FAMILIES = (
     "dct_frame",
     "stacked_scaled",
 )
-
-_MAX_SEED = 2**64
 
 
 @dataclass(frozen=True)
@@ -52,10 +50,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.n < 1 or self.k < 1:
             raise ValueError(f"matrix dimensions must be positive, got n={self.n}, k={self.k}")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not (math.isfinite(self.entry_scale) and self.entry_scale > 0.0):
-            raise ValueError(f"entry_scale must be positive and finite, got {self.entry_scale}")
+        _check_seed(self.seed)
+        _check_positive(self.entry_scale, "entry_scale")
         if self.family == "stacked_scaled":
             if self.n % 2 != 0:
                 raise ValueError("stacked_scaled needs an even number of rows")

@@ -30,8 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import ORACLE_SUBSET_LIMIT, RANK_RTOL, _walk_subsets, as_sensing_matrix, row_normalize
-from .seeding import philox_generator
+from .linalg import ORACLE_SUBSET_LIMIT, RANK_RTOL, as_sensing_matrix, row_normalize
+from .linalg import _check_positive, _check_sensor_count, _walk_subsets
+from .seeding import _check_seed, philox_generator
 
 __all__ = [
     "ALGORITHMS",
@@ -62,7 +63,24 @@ _PLACERS = {
 
 ALGORITHMS = tuple(_PLACERS)
 
-_MAX_SEED = 2**64
+# The lowest and highest sensor count L each placer accepts on an N x K
+# matrix: framesense's first move eliminates a pair, det and mse keep at
+# least the K rows that can span every direction, mi's last pick conditions
+# on a free row, and coherence starts from a pair.
+_SENSOR_RANGES = {
+    "framesense": lambda n, k: (1, n - 2),
+    "det": lambda n, k: (k, n),
+    "mse": lambda n, k: (k, n),
+    "mi": lambda n, k: (1, n - 1),
+    "coherence": lambda n, k: (2, n),
+    "random": lambda n, k: (1, n),
+}
+
+
+def _check_count(algorithm: str, num_sensors: int, shape) -> None:
+    """ValueError unless ``algorithm`` accepts ``num_sensors`` rows of an N x K matrix."""
+    _check_sensor_count(algorithm, num_sensors, *_SENSOR_RANGES[algorithm](*shape), shape)
+
 
 # Every scan counts as tied each candidate within this fraction of a scale of
 # the best one and takes the lowest index among them (_first_best). The scale
@@ -108,22 +126,24 @@ class PlacementOptions:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        _check_seed(self.seed)
+        _check_positive(self.sigma2)
 
 
-def _ridge(m) -> float:
+def _ridge(m, p: int = 0) -> float:
     """The ridge of the det, mse and mi greedies: 1e-6 times the mean squared row norm.
 
-    Raises ValueError when that overflows float64.
+    Taken on the rows times 2**-p, which scales it by exactly 4**-p wherever
+    it stays in range, so a ridge that underflows on tiny rows does not on
+    scaled ones. Raises ValueError when the mean squared row norm of the
+    rows as given overflows float64.
     """
     with np.errstate(over="ignore"):
-        ridge = 1e-6 * float(np.mean(m.row_norms**2))
-    if not math.isfinite(ridge):
+        total = float(np.sum(np.linalg.norm(np.ldexp(m.entries, -p), axis=1) ** 2))
+    # total * 4**p overflows exactly when its binary exponent passes 1024
+    if not math.isfinite(total) or math.frexp(total)[1] + 2 * p > 1024:
         raise ValueError("ridge 1e-6 * mean squared row norm overflows float64; rescale the matrix")
-    return ridge
+    return 1e-6 * (total / m.n)
 
 
 @dataclass(frozen=True)
@@ -193,13 +213,8 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     """
     m = as_sensing_matrix(psi)
     opts = opts or PlacementOptions()
-    n, k = m.shape
-    # L >= K is needed for full-rank reconstruction but not for elimination
-    # itself, so only the pair initialization constrains the range here.
-    if not 1 <= num_sensors <= n - 2:
-        raise ValueError(
-            f"sensor count must lie in [1, {n - 2}] for a {n} x {k} matrix, got {num_sensors}"
-        )
+    _check_count("framesense", num_sensors, m.shape)
+    n = m.n
     w = (row_normalize(m) if opts.normalize_rows else m).entries
     # every product, gain and rounding bound below is at most twice the
     # frame potential of |w|, the squared Frobenius norm of |w|^T |w|
@@ -335,8 +350,8 @@ def greedy_det(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     candidate in one eigenbasis of G per step. ``objective_trace`` holds the
     gain of each pick; ``K * log(ridge)`` plus their sum is the log
     determinant of the final ridged Gram matrix. The ridge is 1e-6 times
-    the mean squared row norm; a matrix where that overflows float64 raises
-    ValueError.
+    the mean squared row norm; a matrix where that overflows float64, or
+    an all-zero matrix, raises ValueError.
     """
 
     def score(inv, y2):
@@ -344,7 +359,7 @@ def greedy_det(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
         # q rounds in proportion to |x|^2 max(inv); log1p divides that by 1 + q
         return np.log1p(q), float(y2.sum(axis=1).max() * inv.max() / (1.0 + q.max()))
 
-    return _eigen_best_in(psi, num_sensors, score)
+    return _eigen_best_in("det", psi, num_sensors, score)
 
 
 def greedy_mse(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
@@ -363,10 +378,10 @@ def greedy_mse(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
         total = float(inv.sum())
         return total - (y2 @ inv**2) / (1.0 + y2 @ inv), total
 
-    return _eigen_best_in(psi, num_sensors, score, minimize=True, degree=-2)
+    return _eigen_best_in("mse", psi, num_sensors, score, minimize=True, degree=-2)
 
 
-def _eigen_best_in(psi, num_sensors, score, minimize=False, degree=0) -> Selection:
+def _eigen_best_in(algorithm, psi, num_sensors, score, minimize=False, degree=0) -> Selection:
     """Best-in loop scored in the eigenbasis of the chosen rows' Gram matrix.
 
     Each step ``score(inv, y2)`` gets the eigenvalues ``inv`` of the ridged
@@ -374,27 +389,26 @@ def _eigen_best_in(psi, num_sensors, score, minimize=False, degree=0) -> Selecti
     ``y2`` of the free rows in its eigenbasis, so x^T G^-1 x = y2 @ inv.
 
     The loop scores the rows times 2**-p, with p the binary exponent of the
-    largest entry, and the ridge times 4**-p, so ``inv`` neither underflows
-    nor overflows however large or small the rows are. A power of two scales
-    every product and sum exactly, so the picks are those of the unscaled
-    rows wherever these stay in range. The trace, of the given ``degree`` of
-    homogeneity in the rows, is mapped back exactly.
+    largest entry, and takes their ridge, so neither the ridge nor ``inv``
+    underflows or overflows however large or small the rows are. A power of
+    two scales every product and sum exactly, so the picks are those of the
+    unscaled rows wherever these stay in range. The trace, of the given
+    ``degree`` of homogeneity in the rows, is mapped back exactly. An
+    all-zero matrix, which has no ridge, raises ValueError.
     """
     m = as_sensing_matrix(psi)
-    n, k = m.shape
-    if not k <= num_sensors <= n:
-        raise ValueError(
-            f"sensor count must lie in [{k}, {n}] for a {n} x {k} matrix, got {num_sensors}"
-        )
-    ridge = _ridge(m)
-    p = math.frexp(float(np.abs(m.entries).max()))[1]
+    _check_count(algorithm, num_sensors, m.shape)
+    top = float(np.abs(m.entries).max())
+    if top == 0.0:
+        raise ValueError(f"{algorithm} needs a matrix with a nonzero entry; every row is zero")
+    p = math.frexp(top)[1]
     e = np.ldexp(m.entries, -p)
-    shift = math.ldexp(ridge, -2 * p)
+    shift = _ridge(m, p)
 
     def objective(chosen, free):
         return score(*_eigen_step(e[chosen].T @ e[chosen], shift, e[free]))
 
-    sel = _best_in(n, num_sensors, objective, minimize)
+    sel = _best_in(m.n, num_sensors, objective, minimize)
     # a trace value past float64 in the rows' own scale reads inf
     with np.errstate(over="ignore"):
         trace = np.ldexp(sel.objective_trace, degree * p)
@@ -434,9 +448,8 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
     """
     m = as_sensing_matrix(psi)
     opts = opts or PlacementOptions(algorithm="mi")
+    _check_count("mi", num_sensors, m.shape)
     n = m.n
-    if not 1 <= num_sensors < n:
-        raise ValueError(f"sensor count must lie in [1, {n - 1}], got {num_sensors}")
     try:
         ridge = _ridge(m)
     except ValueError as exc:
@@ -475,9 +488,8 @@ def greedy_coherence(psi, num_sensors: int, opts: PlacementOptions | None = None
     whose largest coherence against the chosen set is smallest.
     """
     m = as_sensing_matrix(psi)
+    _check_count("coherence", num_sensors, m.shape)
     n = m.n
-    if not 2 <= num_sensors <= n:
-        raise ValueError(f"sensor count must lie in [2, {n}], got {num_sensors}")
     norms = m.row_norms
     bad = np.flatnonzero(norms <= 1e-12)
     if bad.size:
@@ -499,11 +511,9 @@ def greedy_coherence(psi, num_sensors: int, opts: PlacementOptions | None = None
 def random_placement(psi, num_sensors: int, seed: int = 0) -> Selection:
     """Uniform sample of distinct rows via a seeded Fisher-Yates shuffle."""
     m = as_sensing_matrix(psi)
+    _check_count("random", num_sensors, m.shape)
+    _check_seed(seed)
     n = m.n
-    if not 1 <= num_sensors <= n:
-        raise ValueError(f"sensor count must lie in [1, {n}], got {num_sensors}")
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     rng = philox_generator("placement/random", seed)
     idx = np.arange(n)
     for t in range(num_sensors):
@@ -536,8 +546,7 @@ def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
     """
     m = as_sensing_matrix(psi)
     n = m.n
-    if not 1 <= num_sensors <= n:
-        raise ValueError(f"sensor count must lie in [1, {n}], got {num_sensors}")
+    _check_sensor_count("exhaustive_oracle", num_sensors, 1, n, m.shape)
     if objective not in ("fp", "mse"):
         raise ValueError(f"objective must be 'fp' or 'mse', got {objective!r}")
     fp_best, mse_best, _ = _walk_subsets(

@@ -64,6 +64,16 @@ class TestEnergyExtremes:
             l_min_max(MB, 4)
 
 
+@pytest.mark.parametrize("fn,low", [(l_min_max, 1), (fp_approx_factor, 2), (delta_bound, 1)])
+def test_sensor_count_range_message(fn, low):
+    # MB is 3 x 2; every bound states its range in the placers' one message
+    for l in (low - 1, 4):
+        with pytest.raises(ValueError, match=rf"^{fn.__name__} needs a sensor count in \[{low}, 3\] "
+                                             rf"for a 3 x 2 matrix, got {l}$"):
+            fn(MB, l)
+    fn(MB, low)
+
+
 class TestFpApproxFactor:
     def test_untf_half_selection(self):
         assert fp_approx_factor(CROSS8, 2) == pytest.approx(1.0 + 3.0 / math.e, rel=1e-12)

@@ -108,6 +108,15 @@ class TestPlace:
         assert proc.stderr.startswith("error: ")
         assert "ridge 1e-6 * mean squared row norm overflows float64" in proc.stderr
 
+    @pytest.mark.parametrize("algo", ["det", "mse"])
+    def test_all_zero_matrix_exits_2(self, tmp_path, algo):
+        path = tmp_path / "zero.csv"
+        save_matrix(path, np.zeros((8, 3)))
+        proc = run_cli("place", "--matrix", str(path), "--sensors", "4", "--algo", algo,
+                       check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: {algo} needs a matrix with a nonzero entry")
+
     def test_convergence_failure_exits_2(self, monkeypatch, capsys):
         from framesense import cli
         from framesense.linalg import ConvergenceError

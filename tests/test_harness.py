@@ -34,6 +34,20 @@ from framesense.harness import AggRow, AuditRow, RawRow, _trial_seed
 from framesense.matio import csv_row
 
 
+def record_placements(monkeypatch):
+    """Run every placement the harness makes, recording its (algorithm, L)."""
+    import framesense.harness
+
+    calls = []
+
+    def recorded(psi, l, opts):
+        calls.append((opts.algorithm, l))
+        return run_placement(psi, l, opts)
+
+    monkeypatch.setattr(framesense.harness, "run_placement", recorded)
+    return calls
+
+
 def small_cfg(**overrides):
     base = dict(
         family="gaussian",
@@ -99,7 +113,20 @@ class TestExperimentConfig:
             cfg2.check_l_values(9, 3)
 
 
+# (algorithm, L) cells outside the algorithm's range on a 10 x 3 matrix;
+# framesense's is held to L >= K
+BAD_CELLS = [("det", 2), ("mse", 2), ("mi", 10), ("coherence", 1), ("framesense", 2)]
+
+
 class TestSweepMse:
+    @pytest.mark.parametrize("algo,l", BAD_CELLS)
+    def test_bad_cell_refused_before_any_placement(self, monkeypatch, algo, l):
+        calls = record_placements(monkeypatch)
+        cfg = small_cfg(l_values=(5, l), algorithms=("random", algo))
+        with pytest.raises(ValueError, match=f"^{algo} needs a sensor count"):
+            sweep_mse(cfg)
+        assert calls == []
+
     def test_grid_shape_and_order(self):
         table = sweep_mse(small_cfg())
         assert len(table.raw) == 3 * 2 * 2
@@ -239,6 +266,28 @@ class TestSweepTiming:
             assert row.wall_time_seconds > 0
         assert {r.n for r in table.raw} == {8, 12}
 
+    # (algorithm, K, N) with L = ceil(N / 2) outside the algorithm's range
+    @pytest.mark.parametrize("algo,k,n", [("det", 3, 4), ("mi", 1, 1), ("coherence", 3, 2)])
+    def test_bad_cell_refused_before_any_placement(self, monkeypatch, algo, k, n):
+        calls = record_placements(monkeypatch)
+        cfg = small_cfg(k=k, n_values=(12, n), trials=1, algorithms=("random", algo))
+        with pytest.raises(ValueError, match=f"^timing grid point n={n}: {algo} needs"):
+            sweep_timing(cfg)
+        assert calls == []
+
+    def test_default_config_passes_grid_check(self, monkeypatch):
+        import framesense.harness
+
+        class Reached(Exception):
+            pass
+
+        def stop(*args):
+            raise Reached
+
+        monkeypatch.setattr(framesense.harness, "_trial_matrix", stop)
+        with pytest.raises(Reached):
+            sweep_timing(ExperimentConfig(trials=1))
+
     def test_grid_point_outside_range_rejected(self):
         cfg = small_cfg(n_values=(4,), algorithms=("framesense",))
         with pytest.raises(ValueError, match="timing grid"):
@@ -316,12 +365,11 @@ class TestOracleAudit:
 
     def test_every_walked_cell_reports_its_delta(self, monkeypatch):
         # one guard decides both whether a cell walks and whether it has a
-        # delta: at a guard of C(10, 4) = 210, L = 4 and 6 walk, L = 5 skips
-        import framesense.bounds
-        import framesense.harness
+        # delta: at a guard of C(10, 4) = 210, L = 4 and 6 walk, L = 5 skips.
+        # The guard reads its limit from linalg at call time.
+        import framesense.linalg
 
-        for mod in (framesense.harness, framesense.bounds):
-            monkeypatch.setattr(mod, "ORACLE_SUBSET_LIMIT", math.comb(10, 4))
+        monkeypatch.setattr(framesense.linalg, "ORACLE_SUBSET_LIMIT", math.comb(10, 4))
         cfg = small_cfg(n=10, k=3, l_values=(4, 5, 6), trials=2, normalize_rows=False)
         for row in oracle_audit(cfg).rows:
             l = row.report.l
@@ -345,6 +393,13 @@ class TestOracleAudit:
             assert row.fp_opt == exhaustive_oracle(matrix, l, "fp")[1]
             assert row.mse_opt == exhaustive_oracle(matrix, l, "mse")[1]
             assert row.report.delta == delta_bound(matrix, l)
+
+    def test_l_below_k_refused_before_any_placement(self, monkeypatch):
+        # the certificate needs L >= K; the L = 4 cell would run first
+        calls = record_placements(monkeypatch)
+        with pytest.raises(ValueError, match=r"^audit: framesense needs a sensor count in \[3, 6\]"):
+            oracle_audit(small_cfg(n=8, l_values=(4, 2), trials=1))
+        assert calls == []
 
     def test_oversized_instances_are_skipped(self):
         cfg = small_cfg(n=40, k=3, l_values=(20,), trials=1)

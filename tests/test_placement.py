@@ -30,7 +30,7 @@ from framesense import (
     row_normalize,
     run_placement,
 )
-from framesense.placement import _PAIR_BLOCK_ENTRIES, _ridge
+from framesense.placement import _PAIR_BLOCK_ENTRIES, _SENSOR_RANGES, _ridge
 
 from _oracles import (
     _det_and_inverse,
@@ -522,25 +522,35 @@ class TestPrefixProperty:
 
 
 class TestScale:
-    @pytest.mark.parametrize("p", [400, -400])
+    @pytest.mark.parametrize("p", [400, -400, -600])
     def test_power_of_two_scale_keeps_picks_and_traces(self, p):
         # at 2**400 the error trace's inv**2 underflowed to 0 and at 2**-400
-        # it overflowed, so greedy_mse picked the lowest indices instead
+        # it overflowed, so greedy_mse picked the lowest indices instead; at
+        # 2**-600 the ridge of the rows as given underflows to 0
         c = math.ldexp(1.0, p)
         for family, seed in (("gaussian", 3), ("stacked_scaled", 0), ("bernoulli", 1)):
             psi = generate(GeneratorSpec(family, 40, 5, seed=seed, scale=family_scale(family))).entries
             # the mse trace scales as the inverse Gram matrix; mi compares
             # variances with sigma2, which scales with the squared rows
             for algo, sigma2, degree in (("det", 1.0, 0), ("mse", 1.0, -2), ("mi", c * c, 0)):
+                if sigma2 == 0.0:
+                    continue  # c * c underflows, so no sigma2 follows the rows
                 base = run_placement(psi, 20, PlacementOptions(algorithm=algo))
                 sel = run_placement(psi * c, 20, PlacementOptions(algorithm=algo, sigma2=sigma2))
                 assert sel.chosen == base.chosen, (family, algo)
-                want = [math.ldexp(v, degree * p) for v in base.objective_trace]
+                # a trace past float64 in the rows' own scale reads inf
+                with np.errstate(over="ignore"):
+                    want = np.ldexp(base.objective_trace, degree * p).tolist()
                 if algo == "mi":
                     # mi scores on the rows as given, where LAPACK rescales
                     assert sel.objective_trace == pytest.approx(want, rel=1e-12), (family, algo)
                 else:
                     assert list(sel.objective_trace) == want, (family, algo)
+
+    @pytest.mark.parametrize("algo", ["det", "mse"])
+    def test_all_zero_matrix_raises(self, algo):
+        with pytest.raises(ValueError, match=f"{algo} needs a matrix with a nonzero entry"):
+            run_placement(np.zeros((8, 3)), 4, PlacementOptions(algorithm=algo))
 
     def test_mse_greedy_on_huge_rows_picks_by_error(self):
         psi = np.random.default_rng(0).normal(size=(8, 3))
@@ -664,6 +674,18 @@ class TestOptionsAndDispatch:
         assert default_ridge(psi * 2.0**100) == default_ridge(psi) * 2.0**200
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows float64"):
             default_ridge(psi * 1e160)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_each_placer_accepts_exactly_its_sensor_range(self, algo):
+        psi = random_instance(124, n=9, k=3)
+        low, high = _SENSOR_RANGES[algo](9, 3)
+        opts = PlacementOptions(algorithm=algo)
+        for l in (low, high):
+            assert len(run_placement(psi, l, opts).chosen) == l
+        for l in (low - 1, high + 1):
+            want = rf"^{algo} needs a sensor count in \[{low}, {high}\] for a 9 x 3 matrix, got {l}$"
+            with pytest.raises(ValueError, match=want):
+                run_placement(psi, l, opts)
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_run_placement_dispatch(self, algo):
