@@ -48,6 +48,33 @@ BOUNDS_CSV_HEADER = (
 )
 
 
+def _rounding_allowance(k: int) -> float:
+    """Relative slack an audit grants a computed value against its certificate.
+
+    On a collapsed cell, where the selected rows' Gram matrix is a multiple
+    of the identity, the MSE envelope is attained (lower = MSE = upper) and
+    gamma can be too, so the two sides of a check differ only by rounding.
+    With unit roundoff u = eps / 2, a K x K Gram matrix, and to first order:
+
+    - the frame potential sums K^2 nonnegative squares pairwise, off by at
+      most (1 + 2 log2 K) u <= 3 K u;
+    - each extreme eigenvalue from the backward-stable ``eigvalsh`` is off by
+      about K u of the largest, which is relative on a collapsed cell; the
+      envelope squares one, for 2 K u;
+    - the MSE sums K reciprocals of such eigenvalues: K u from the
+      eigenvalues, K u from the reciprocals and the sum;
+    - the energies and quotients around them add a few u.
+
+    That is about 7 K u; the allowance is 8 K u = 4 K eps. Rounding in the
+    Gram entries themselves is not counted; on the +-1 rows where cells
+    are seen to collapse it is zero. The allowance is capped at 1e-12, so
+    a real miss is never forgiven: at K = 3 it is 2.7e-15, while a
+    collapsed 12 x 3 bernoulli cell reads its lower bound 3e-16 above its
+    MSE.
+    """
+    return min(4 * k * float(np.finfo(np.float64).eps), 1e-12)
+
+
 def l_min_max(psi, num_sensors: int):
     """Extremal and mean selected energies at a given selection size.
 

@@ -126,23 +126,14 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_matgen(args) -> int:
-    from .harness import ExperimentConfig
+    from .harness import ExperimentConfig, _check_generation, _generator_spec
 
     cfg = ExperimentConfig.from_json(args.config)
-    if cfg.matrix_csv is not None:
-        raise ValueError("matrix_csv applies to sweep-mse only; matgen generates its matrix")
+    _check_generation(cfg, "matgen", (cfg.n,))
     if len(cfg.family) != 1:
         raise ValueError("matgen needs exactly one family in the config")
-    spec = GeneratorSpec(
-        family=cfg.family[0],
-        n=cfg.n,
-        k=cfg.k,
-        seed=cfg.master_seed,
-        scale=cfg.scale,
-        entry_scale=cfg.entry_scale,
-    )
     path = str(args.out) + ".csv"
-    save_matrix(path, generate(spec))
+    save_matrix(path, generate(_generator_spec(cfg, cfg.family[0], cfg.n, cfg.master_seed)))
     print("wrote", path)
     return 0
 

@@ -22,6 +22,7 @@ import numpy as np
 from .bounds import (
     BOUNDS_CSV_HEADER,
     BoundsReport,
+    _rounding_allowance,
     _spectrum_delta,
     compute_bounds_report,
 )
@@ -299,16 +300,31 @@ def _trial_seed(master_seed: int, family: str, trial: int) -> int:
     return derive_seed(f"harness/{family}", master_seed, trial)
 
 
-def _trial_matrix(cfg: ExperimentConfig, family: str, n: int, k: int, seed: int):
-    spec = GeneratorSpec(
-        family=family,
-        n=n,
-        k=k,
-        seed=seed,
-        scale=cfg.scale if family == "stacked_scaled" else None,
-        entry_scale=cfg.entry_scale,
-    )
-    return generate(spec)
+def _generator_spec(cfg: ExperimentConfig, family: str, n: int, seed: int = 0) -> GeneratorSpec:
+    """The recipe of the config's ``family`` matrix with N = ``n``.
+
+    The one mapping from a config to a generated matrix: every family gets
+    ``k`` and ``entry_scale``, and only ``stacked_scaled`` gets ``scale``.
+    """
+    scale = cfg.scale if family == "stacked_scaled" else None
+    return GeneratorSpec(family, n, cfg.k, seed, scale, cfg.entry_scale)
+
+
+def _check_generation(cfg: ExperimentConfig, command: str, n_values):
+    """ValueError unless ``command`` can generate every matrix of its run.
+
+    Runs before the first placement: refuses ``matrix_csv``, which only
+    ``sweep-mse`` reads, and a ``scale`` that no family uses, then builds
+    every family's recipe at every N in ``n_values``, so a setting that
+    :class:`GeneratorSpec` refuses fails here and not partway through.
+    """
+    if cfg.matrix_csv is not None:
+        raise ValueError(f"matrix_csv applies to sweep-mse only, not to {command}")
+    if cfg.scale is not None and "stacked_scaled" not in cfg.family:
+        raise ValueError(f"scale only applies to stacked_scaled, got families {cfg.family}")
+    for n in n_values:
+        for family in cfg.family:
+            _generator_spec(cfg, family, n)
 
 
 def _placement_cell(cfg, matrix, family, trial, seed, l, algo, warmup=False) -> RawRow:
@@ -358,6 +374,7 @@ def sweep_mse(cfg: ExperimentConfig) -> ResultTable:
         cfg.check_l_values(fixed.n, fixed.k)
         families = ["csv"]
     else:
+        _check_generation(cfg, "sweep-mse", (cfg.n,))
         cfg.check_l_values(cfg.n, cfg.k)
         families = cfg.family
 
@@ -367,7 +384,7 @@ def sweep_mse(cfg: ExperimentConfig) -> ResultTable:
             if fixed is not None:
                 matrix = fixed
             else:
-                matrix = _trial_matrix(cfg, family, cfg.n, cfg.k, seed)
+                matrix = generate(_generator_spec(cfg, family, cfg.n, seed))
             return [
                 _placement_cell(cfg, matrix, family, trial, seed, l, algo)
                 for l in cfg.l_values
@@ -387,8 +404,7 @@ def sweep_timing(cfg: ExperimentConfig) -> ResultTable:
     cell runs once after one untimed warm-up; timing covers only the
     placement call, never matrix generation, evaluation, or I/O.
     """
-    if cfg.matrix_csv is not None:
-        raise ValueError("matrix_csv applies to sweep-mse only; timing sweeps generate their matrices")
+    _check_generation(cfg, "sweep-time", cfg.n_values)
     for n in cfg.n_values:
         _check_grid(cfg.algorithms, ((n + 1) // 2,), n, cfg.k, f"timing grid point n={n}: ")
     rows = []
@@ -397,7 +413,7 @@ def sweep_timing(cfg: ExperimentConfig) -> ResultTable:
             l = (n + 1) // 2
             for trial in range(cfg.trials):
                 seed = _trial_seed(cfg.master_seed, family, trial)
-                matrix = _trial_matrix(cfg, family, n, cfg.k, seed)
+                matrix = generate(_generator_spec(cfg, family, n, seed))
                 for algo in cfg.algorithms:
                     rows.append(_placement_cell(cfg, matrix, family, trial, seed, l, algo, warmup=True))
     return ResultTable(_sort_raw(rows), kind="timing")
@@ -469,14 +485,13 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
     the gamma certificate covers; ``cfg.normalize_rows`` does not apply to
     audits.
     """
-    if cfg.matrix_csv is not None:
-        raise ValueError("matrix_csv applies to sweep-mse only; audits generate their matrices")
+    _check_generation(cfg, "audit", (cfg.n,))
     _check_grid(("framesense",), cfg.l_values, cfg.n, cfg.k, "audit: ")
     rows = []
     for family in cfg.family:
         for trial in range(cfg.trials):
             seed = _trial_seed(cfg.master_seed, family, trial)
-            matrix = _trial_matrix(cfg, family, cfg.n, cfg.k, seed)
+            matrix = generate(_generator_spec(cfg, family, cfg.n, seed))
             for l in cfg.l_values:
                 if not _enumerable(matrix.n, l):
                     empty = BoundsReport(
@@ -497,9 +512,12 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
                 )
                 delta = _spectrum_delta(matrix, l, lam_range)
                 report = compute_bounds_report(matrix, l, selection.chosen, delta)
-                fp_ok = bool(fp_greedy <= report.gamma * fp_opt)
+                slack = _rounding_allowance(matrix.k)
+                fp_ok = bool(fp_greedy <= report.gamma * fp_opt * (1.0 + slack))
                 mse_ok = bool(
-                    report.mse_bound_lower <= mse_greedy <= report.mse_bound_upper
+                    report.mse_bound_lower * (1.0 - slack)
+                    <= mse_greedy
+                    <= report.mse_bound_upper * (1.0 + slack)
                 )
                 rows.append(
                     AuditRow(family, trial, seed, report,

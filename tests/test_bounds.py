@@ -165,6 +165,17 @@ class TestMseEnvelope:
             mse_envelope(MB, (0, 1), 2.0, 1.0)
 
 
+def test_rounding_allowance_is_a_few_k_eps_and_never_above_1e_12():
+    from framesense.bounds import _rounding_allowance
+
+    eps = np.finfo(np.float64).eps
+    assert _rounding_allowance(3) == 12 * eps
+    assert [_rounding_allowance(k) <= 1e-12 for k in (1, 30, 1125, 1126, 10**6)] == [True] * 5
+    assert _rounding_allowance(10**6) == 1e-12
+    # it covers the 3e-16 by which a collapsed 12 x 3 envelope misses
+    assert 3e-16 < _rounding_allowance(3)
+
+
 class TestDeltaBound:
     def test_duplicate_basis_rows(self):
         # the subset holding both duplicates has spectrum {2, 1, 0}

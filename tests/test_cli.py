@@ -231,6 +231,20 @@ class TestMatgenCommand:
         assert proc.returncode == 2
         assert "matrix_csv" in proc.stderr
 
+    def test_scale_reaches_stacked_scaled(self, tmp_path):
+        cfg = write_cfg(tmp_path, family="stacked_scaled", n=6, k=2, scale=3.0, master_seed=5)
+        run_cli("matgen", "--config", cfg, "--out", str(tmp_path / "mat"))
+        want = generate(GeneratorSpec("stacked_scaled", 6, 2, seed=5, scale=3.0)).entries
+        assert np.array_equal(load_matrix(tmp_path / "mat.csv"), want)
+
+    def test_rejects_unused_scale(self, tmp_path):
+        cfg = write_cfg(tmp_path, family="gaussian", n=6, k=2, scale=3.0)
+        proc = run_cli("matgen", "--config", cfg, "--out", str(tmp_path / "mat"),
+                       check=False)
+        assert proc.returncode == 2
+        assert "scale only applies to stacked_scaled" in proc.stderr
+        assert not (tmp_path / "mat.csv").exists()
+
     def test_rejects_multiple_families(self, tmp_path):
         cfg = write_cfg(tmp_path, family=["gaussian", "bernoulli"], n=6, k=2)
         proc = run_cli("matgen", "--config", cfg, "--out", str(tmp_path / "m"),

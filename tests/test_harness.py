@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import re
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +180,80 @@ class TestSweepMse:
             sweep_mse(small_cfg(l_values=(2,)))
 
 
+# Family settings that GeneratorSpec refuses, each in a config whose other
+# family and whose L grid are fine, so a late check would run placements
+REFUSED_FAMILIES = [
+    (dict(family=["gaussian", "stacked_scaled"]), "stacked_scaled needs scale > 1"),
+    (dict(family=["gaussian", "random_tight_frame"], n=10, k=10),
+     "random_tight_frame needs more rows than columns"),
+    (dict(family=["gaussian", "stacked_scaled"], n=11, scale=2.0),
+     "stacked_scaled needs an even number of rows"),
+]
+
+
+class TestGenerationCheck:
+    """Every run checks each matrix it will generate before its first placement."""
+
+    @pytest.mark.parametrize("overrides,message", REFUSED_FAMILIES)
+    def test_sweep_mse_refuses_family_setting(self, monkeypatch, overrides, message):
+        calls = record_placements(monkeypatch)
+        cfg = small_cfg(l_values=(3,), trials=2, algorithms=("random",), **overrides)
+        with pytest.raises(ValueError, match=message):
+            sweep_mse(cfg)
+        assert calls == []
+
+    def test_sweep_timing_checks_every_n(self, monkeypatch):
+        # a check made as each N comes up would run n = 12 for both families first
+        calls = record_placements(monkeypatch)
+        cfg = small_cfg(family=["gaussian", "stacked_scaled"], scale=2.0,
+                        n_values=(12, 13), trials=1, algorithms=("random",))
+        with pytest.raises(ValueError, match="stacked_scaled needs an even number of rows"):
+            sweep_timing(cfg)
+        assert calls == []
+
+    def test_audit_refuses_family_setting(self, monkeypatch):
+        calls = record_placements(monkeypatch)
+        cfg = small_cfg(family=["gaussian", "stacked_scaled"], l_values=(4,), trials=1)
+        with pytest.raises(ValueError, match="stacked_scaled needs scale > 1"):
+            oracle_audit(cfg)
+        assert calls == []
+
+    def test_unused_scale_refused(self, monkeypatch):
+        calls = record_placements(monkeypatch)
+        cfg = small_cfg(family=["gaussian", "bernoulli"], scale=2.0, algorithms=("random",))
+        with pytest.raises(ValueError, match=r"^scale only applies to stacked_scaled"):
+            sweep_mse(cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("run,command", [(sweep_timing, "sweep-time"), (oracle_audit, "audit")])
+    def test_matrix_csv_refused(self, monkeypatch, run, command):
+        calls = record_placements(monkeypatch)
+        cfg = small_cfg(matrix_csv="m.csv", l_values=(4,), n_values=(8,))
+        with pytest.raises(ValueError, match=f"^matrix_csv applies to sweep-mse only, not to {command}$"):
+            run(cfg)
+        assert calls == []
+
+    def test_scale_reaches_stacked_scaled_only(self):
+        cfg = small_cfg(family=["gaussian", "stacked_scaled"], scale=4.0, l_values=(4,),
+                        trials=1, algorithms=("random",))
+        for row in sweep_mse(cfg).raw:
+            scale = 4.0 if row.family == "stacked_scaled" else None
+            matrix = generate(GeneratorSpec(row.family, 10, 3, seed=row.seed, scale=scale))
+            sel = run_placement(matrix, 4, PlacementOptions("random", seed=row.seed))
+            assert frame_potential(matrix, sel.chosen) == row.fp
+
+
+def test_readme_config_table_names_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+    names = []
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        names += re.findall(r"`(\w+)`", line.split("|")[1])
+    assert names == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
 class TestAggregation:
     def test_group_stats(self):
         rows = [
@@ -284,7 +360,7 @@ class TestSweepTiming:
         def stop(*args):
             raise Reached
 
-        monkeypatch.setattr(framesense.harness, "_trial_matrix", stop)
+        monkeypatch.setattr(framesense.harness, "generate", stop)
         with pytest.raises(Reached):
             sweep_timing(ExperimentConfig(trials=1))
 
@@ -400,6 +476,33 @@ class TestOracleAudit:
         with pytest.raises(ValueError, match=r"^audit: framesense needs a sensor count in \[3, 6\]"):
             oracle_audit(small_cfg(n=8, l_values=(4, 2), trials=1))
         assert calls == []
+
+    def test_collapsed_cells_pass_within_rounding(self):
+        # on 9 of these cells the envelope collapses onto the MSE and its
+        # computed lower bound reads 3e-16 above it; the three fp misses
+        # are real, by 1.8-9% of gamma
+        cfg = small_cfg(family="bernoulli", n=12, k=3, l_values=(4, 6, 8, 10), trials=10,
+                        master_seed=0)
+        info = oracle_audit(cfg).summary()
+        assert (info["fp_pass"], info["mse_pass"]) == (37, 40)
+
+    def test_allowance_does_not_hide_a_real_miss(self, monkeypatch):
+        import framesense.harness
+
+        cfg = small_cfg(family="bernoulli", n=12, k=3, l_values=(4,), trials=1, master_seed=0)
+        row = oracle_audit(cfg).rows[0]
+        lower, upper = row.report.mse_bound_lower, row.report.mse_bound_upper
+        assert row.mse_within_bounds and upper - lower <= 1e-15 * upper
+        monkeypatch.setattr(framesense.harness, "mse", lambda *a: mse(*a) * (1 + 1e-9))
+        assert oracle_audit(cfg).rows[0].mse_within_bounds is False
+
+    def test_paper_gamma_misses_after_the_first_pair(self):
+        # L = N - 2: framesense only eliminates its first pair, which the
+        # paper's gamma does not cover; trial 18 misses it by 5%
+        cfg = small_cfg(n=16, k=2, l_values=(14,), trials=20, master_seed=0)
+        table = oracle_audit(cfg)
+        assert table.summary()["fp_pass"] == 19
+        assert [row.trial for row in table.rows if not row.fp_within_gamma] == [18]
 
     def test_oversized_instances_are_skipped(self):
         cfg = small_cfg(n=40, k=3, l_values=(20,), trials=1)
