@@ -17,9 +17,9 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .linalg import (
-    RANK_RTOL,
     _check_sensor_count,
     _enumerable,
+    _rank_lost,
     _walk_subsets,
     as_sensing_matrix,
     frame_potential,
@@ -144,7 +144,7 @@ def mse_envelope(psi, sel, l_min: float, l_max: float):
     if largest <= 0.0:
         return math.inf, math.inf
     lower = (m.k / l_max) * fp_sel / largest**2
-    if smallest < RANK_RTOL * largest:
+    if _rank_lost(lam):
         return lower, math.inf
     upper = (m.k / l_min) * fp_sel / smallest**2
     return lower, upper

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
@@ -67,7 +68,9 @@ class ExperimentConfig:
     generation with a fixed matrix read from disk (its rows then define N
     and K, and the family column reads ``csv``) in ``sweep_mse`` only, and
     the other runs reject it. ``n_values`` only matters for timing sweeps,
-    ``l_values`` for everything else.
+    ``l_values`` for everything else. Counts must be integers and lists
+    non-empty lists, and no value is cast to the type of its field: one
+    of another type raises ValueError.
     """
 
     family: str | list = "gaussian"
@@ -88,26 +91,33 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.family, str):
             self.family = [self.family]
-        self.family = list(self.family)
+        self.family = list(_listed("family", self.family))
         for fam in self.family:
             if fam not in FAMILIES:
                 raise ValueError(f"unknown family {fam!r}, expected one of {FAMILIES}")
-        self.l_values = tuple(int(v) for v in self.l_values)
-        self.n_values = tuple(int(v) for v in self.n_values)
-        self.algorithms = tuple(self.algorithms)
+        for name in ("l_values", "n_values"):
+            values = _listed(name, getattr(self, name))
+            setattr(self, name, tuple(_integer(f"{name} entry", v) for v in values))
+        self.algorithms = _listed("algorithms", self.algorithms)
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}, expected one of {ALGORITHMS}")
+        for name in ("n", "k", "trials", "threads", "master_seed"):
+            _integer(name, getattr(self, name))
+        for name in ("entry_scale", "sigma2") + (() if self.scale is None else ("scale",)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.normalize_rows, bool):
+            raise ValueError(f"normalize_rows must be true or false, got {self.normalize_rows!r}")
+        if self.matrix_csv is not None and not isinstance(self.matrix_csv, str):
+            raise ValueError(f"matrix_csv must be a path, got {self.matrix_csv!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         _check_positive(self.sigma2)
         _check_seed(self.master_seed, "master_seed")
-        if not self.l_values:
-            raise ValueError("l_values must not be empty")
-        if not self.n_values:
-            raise ValueError("n_values must not be empty")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -124,6 +134,20 @@ class ExperimentConfig:
     def check_l_values(self, n: int, k: int):
         """Validate every (L, algorithm) cell of the grid on an N x K matrix."""
         _check_grid(self.algorithms, self.l_values, n, k)
+
+
+def _listed(name: str, value) -> tuple:
+    """``value`` as a tuple; ValueError, naming it, unless it is a non-empty list."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{name} must be a non-empty list, got {value!r}")
+    return tuple(value)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; ValueError, naming it, unless it is an integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_grid(algorithms, l_values, n: int, k: int, where: str = ""):

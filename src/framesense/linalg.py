@@ -109,11 +109,15 @@ def as_sensing_matrix(psi) -> SensingMatrix:
 
 
 def _selection_indices(sel, n: int) -> np.ndarray:
-    idx = np.asarray(list(sel), dtype=np.int64)
+    idx = np.asarray(list(sel))
     if idx.ndim != 1:
         raise ValueError("selection must be a flat collection of row indices")
     if idx.size == 0:
         raise ValueError("selection must contain at least one row index")
+    # floats, strings and boolean masks are refused, not cast or truncated
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"selection must hold integer row indices, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     if np.any((idx < 0) | (idx >= n)):
         raise IndexError(f"selection index out of range for {n} rows")
     # a set, not np.unique, which imports numpy.ma on first use and costs
@@ -245,10 +249,18 @@ def _enumerable(n: int, size: int) -> bool:
     return math.comb(n, size) <= ORACLE_SUBSET_LIMIT
 
 
+def _rank_lost(lam) -> bool:
+    """The rank rule: whether a descending Gram spectrum has lost rank.
+
+    True when the largest eigenvalue is not positive or the smallest falls
+    below :data:`RANK_RTOL` times it.
+    """
+    return lam[0] <= 0.0 or lam[-1] < RANK_RTOL * lam[0]
+
+
 def _unit_mse(lam) -> float:
     """Unit-variance MSE from a descending Gram spectrum, or UNBOUNDED."""
-    top = lam[0]
-    if top <= 0.0 or lam[-1] < RANK_RTOL * top:
+    if _rank_lost(lam):
         return UNBOUNDED
     return float((1.0 / lam).sum())
 
@@ -348,7 +360,7 @@ def least_squares(psi, sel, f) -> np.ndarray:
         raise ValueError("measurements must all be finite")
     solution, _, _, sv = np.linalg.lstsq(m.entries[idx], rhs, rcond=None)
     lam = sv**2
-    if idx.size < m.k or lam[0] <= 0.0 or lam[-1] < RANK_RTOL * lam[0]:
+    if idx.size < m.k or _rank_lost(lam):
         raise ValueError("selection is rank deficient; parameters are not identifiable")
     return solution
 

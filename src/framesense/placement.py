@@ -14,8 +14,11 @@ coherence greedies, which share one best-in loop, plus a seeded random picker
 and exhaustive search) share the same Selection record so sweeps can treat
 them interchangeably. The determinant, error-trace and mutual-information
 greedies score every candidate in the eigenbasis of a K x K Gram matrix, one
-``eigh`` step shared by all three, so each of their steps costs O(N K^2) and
-none forms an N x N array.
+``eigh`` step shared by all three, so each of their steps costs O(N K^2).
+The coherence greedy finds its start row with the same pair scan as the
+main algorithm's first pair, then updates each row's largest coherence
+against the chosen set from the newest pick alone, O(N K) per pick and
+O(N K) memory. No greedy placer forms an N x N array.
 
 Every scan follows one tie rule: values within a rounding bound of the best
 count as tied, and the lowest row index among them wins. The main
@@ -286,11 +289,23 @@ def _scores(w, live, diag2):
 
 
 def _most_parallel_pair(w) -> tuple[int, int]:
-    """Lexicographically first pair i < j whose squared inner product ties the largest.
+    """Lexicographically first pair i < j whose squared inner product ties the largest."""
+    row_max = _pair_scan(w, np.square)
+    best = float(row_max.max())
+    i = _first_best(row_max, best)
+    # recomputed outside its block, the best product may round a little lower
+    j = i + 1 + _first_best((w[i + 1:] @ w[i]) ** 2, best)
+    return i, j
 
-    Scans ``w @ w.T`` in blocks of rows, each from its own diagonal onward
-    and each written into one reused buffer of at most
-    ``max(N, _PAIR_BLOCK_ENTRIES)`` doubles, so no two blocks are ever live.
+
+def _pair_scan(w, value):
+    """Largest ``value`` of each row's inner products with later rows, last row excepted.
+
+    The one pair search, of framesense's most parallel pair and of the
+    coherence greedy's least coherent one. It scans ``w @ w.T`` in blocks of
+    rows, each from its own diagonal onward and each written into one reused
+    buffer of at most ``max(N, _PAIR_BLOCK_ENTRIES)`` doubles, so no two
+    blocks are ever live; ``value(block, out=block)`` maps a block in place.
     """
     n = w.shape[0]
     step = max(1, _PAIR_BLOCK_ENTRIES // n)
@@ -301,17 +316,14 @@ def _most_parallel_pair(w) -> tuple[int, int]:
         # entry (t, c) pairs row lo + t with row lo + c. Entries left of the
         # diagonal pair row lo + t with a lower row, which counts the same
         # value in its own maximum, so they never move the lowest row that
-        # reaches the best value; only the diagonal has to go.
+        # reaches the best value; only the diagonal has to go, and every
+        # row scanned still has a later column.
         block = buf[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
         np.matmul(w[lo:hi], w[lo:].T, out=block)
-        block *= block
-        np.fill_diagonal(block, 0.0)
+        value(block, out=block)
+        np.fill_diagonal(block, -np.inf)
         row_max[lo:hi] = block.max(axis=1)
-    best = float(row_max.max())
-    i = _first_best(row_max, best)
-    # recomputed outside its block, the best product may round a little lower
-    j = i + 1 + _first_best((w[i + 1:] @ w[i]) ** 2, best)
-    return i, j
+    return row_max
 
 
 def _first_best(values, scale) -> int:
@@ -485,27 +497,31 @@ def greedy_coherence(psi, num_sensors: int, opts: PlacementOptions | None = None
     """Best-in greedy keeping the worst pairwise coherence of the chosen set low.
 
     Starts from the pair with the smallest coherence, then adds the row
-    whose largest coherence against the chosen set is smallest.
+    whose largest coherence against the chosen set is smallest. The start
+    row comes from the pair scan framesense uses for its first pair. No
+    N x N table is formed: each row's largest coherence against the chosen
+    set is kept up to date from the newest pick alone, so each pick costs
+    O(N K) and memory stays O(N K).
     """
     m = as_sensing_matrix(psi)
     _check_count("coherence", num_sensors, m.shape)
-    n = m.n
     norms = m.row_norms
     bad = np.flatnonzero(norms <= 1e-12)
     if bad.size:
         raise ValueError(f"row {int(bad[0])} has near-zero norm, coherence undefined")
-    coh = np.abs(m.entries @ m.entries.T) / np.outer(norms, norms)
-    np.clip(coh, 0.0, 1.0, out=coh)
+    u = m.entries / norms[:, None]
 
     # coherences lie in [0, 1] and round in absolute terms, hence scale 1.
     # The lowest row in a least coherent pair starts; its first step then
     # adds the lowest partner, completing the lexicographically first pair.
-    first = _first_best(-coh.min(axis=1), 1.0)
+    first = _first_best(_pair_scan(u, lambda b, out: np.negative(np.abs(b, out=out), out=out)), 1.0)
+    worst = np.zeros(m.n)
 
     def objective(chosen, free):
-        return coh[np.ix_(chosen, free)].max(axis=0), 1.0
+        np.maximum(worst, np.minimum(np.abs(u @ u[chosen[-1]]), 1.0), out=worst)
+        return worst[free], 1.0
 
-    return _best_in(n, num_sensors, objective, minimize=True, start=(first,))
+    return _best_in(m.n, num_sensors, objective, minimize=True, start=(first,))
 
 
 def random_placement(psi, num_sensors: int, seed: int = 0) -> Selection:

@@ -329,6 +329,32 @@ def naive_mi(psi, num_sensors, sigma2, ridge):
     return chosen
 
 
+def naive_coherence(psi, num_sensors):
+    """Coherence greedy on the full N x N coherence table, in floats.
+
+    Forms ``|psi psi^T|`` over the outer product of the row norms, clipped to
+    [0, 1]. The lowest row whose smallest coherence (its diagonal included)
+    is within 1e-12 of the least one starts; each step then adds the lowest
+    free row whose largest coherence against the chosen set, reduced anew
+    over the whole chosen-by-free block, is within 1e-12 of the smallest.
+    Returns the pick order and the trace of each pick's value.
+    """
+    a = np.asarray(psi, dtype=float)
+    norms = np.linalg.norm(a, axis=1)
+    coh = np.abs(a @ a.T) / np.outer(norms, norms)
+    np.clip(coh, 0.0, 1.0, out=coh)
+    least = coh.min(axis=1)
+    chosen = [int(np.argmax(least <= least.min() + 1e-12))]
+    free = [i for i in range(a.shape[0]) if i != chosen[0]]
+    trace = []
+    while len(chosen) < num_sensors:
+        values = coh[np.ix_(chosen, free)].max(axis=0)
+        pos = int(np.argmax(values <= values.min() + 1e-12))
+        chosen.append(free.pop(pos))
+        trace.append(float(values[pos]))
+    return chosen, trace
+
+
 def _det_and_inverse(m):
     n = len(m)
     rows = [list(row) + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(m)]

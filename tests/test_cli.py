@@ -177,6 +177,32 @@ class TestSweepMseCommand:
         assert proc.returncode == 2
         assert "sensors" in proc.stderr
 
+    @pytest.mark.parametrize("bad", [
+        {"trials": 2.5},
+        {"trials": "3"},
+        {"trials": True},
+        {"n": 100.5},
+        {"l_values": 30},
+        {"l_values": [30.7]},
+        {"l_values": []},
+        {"family": 5},
+        {"family": []},
+        {"scale": "4", "family": "stacked_scaled"},
+        {"algorithms": "framesense"},
+        {"normalize_rows": "no"},
+        {"matrix_csv": 5},
+    ])
+    def test_malformed_config_value_exits_2(self, tmp_path, bad):
+        # each used to crash with a TypeError, run a changed value, write
+        # header-only files or, for matrix_csv, read file descriptor 5
+        cfg = write_cfg(tmp_path, **{"n": 100, "k": 30, "l_values": [30], "trials": 1, **bad})
+        proc = run_cli("sweep-mse", "--config", cfg, "--out", str(tmp_path / "x"),
+                       check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert next(iter(bad)) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x_raw.csv").exists()
+
 
 class TestSweepTimeCommand:
     def test_runs_small_grid(self, tmp_path):

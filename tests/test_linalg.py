@@ -160,6 +160,27 @@ def test_gram_selection_errors():
         gram(psi, (0, 0))
     with pytest.raises(ValueError):
         gram(psi, ())
+    # an empty array is float by default; it is still an empty selection
+    with pytest.raises(ValueError, match="at least one row index"):
+        gram(psi, np.array([]))
+    assert np.array_equal(gram(psi, np.array([0, 2], dtype=np.uint8)), gram(psi, [0, 2]))
+
+
+@pytest.mark.parametrize("sel", [
+    [0.5, 1.7, 2.2, 3.9],
+    [0.0, 1.0, 2.0, 3.0],
+    ["1", "2", "3"],
+    [True, False, True, True],
+    np.array([True, False, True, True]),
+])
+def test_non_integer_selections_refused(sel):
+    # casting would truncate floats to rows 0-3, parse strings and read a
+    # mask as rows 1, 0, 1, 1
+    psi = generate(GeneratorSpec("gaussian", 8, 3, seed=0))
+    for call in (lambda: gram(psi, sel), lambda: frame_potential(psi, sel),
+                 lambda: mse(psi, sel), lambda: least_squares(psi, sel, np.ones(len(sel)))):
+        with pytest.raises(ValueError, match="integer row indices"):
+            call()
 
 
 class TestEigenvalues:

@@ -40,6 +40,7 @@ from _oracles import (
     exact_mi,
     frame_potential_oracle,
     marginal_gain,
+    naive_coherence,
     naive_framesense,
     naive_mi,
     row_gram,
@@ -449,6 +450,49 @@ class TestGreedyCoherence:
     def test_needs_at_least_two(self):
         with pytest.raises(ValueError):
             greedy_coherence(np.eye(3), 1)
+
+    def test_matches_naive_reference(self):
+        # at 1000 x 10 the start row comes from one of several scan blocks
+        assert _PAIR_BLOCK_ENTRIES // 1000 < 999 // 2
+        for family in FAMILIES:
+            for n, k, top in ((12, 3, 12), (40, 5, 40), (100, 30, 100), (1000, 10, 60)):
+                for seed in (0, 1):
+                    psi = generate(GeneratorSpec(family, n, k, seed=seed, scale=family_scale(family)))
+                    want, want_trace = naive_coherence(psi.entries, top)
+                    for l in (2, top // 2, top):
+                        sel = greedy_coherence(psi, l)
+                        assert list(sel.chosen) == want[:l], (family, n, seed, l)
+                        gap = np.abs(np.subtract(sel.objective_trace, want_trace[: l - 1]))
+                        assert gap.max(initial=0.0) <= 1e-15, (family, n, seed, l)
+
+    def test_least_coherent_pair_straddling_a_block_boundary(self):
+        n = 1000
+        step = _PAIR_BLOCK_ENTRIES // n
+        assert 3 * step < n
+        base = generate(GeneratorSpec("gaussian", n, 10, seed=2)).entries
+
+        def orthogonalize(psi, low, high):
+            psi[high] -= (psi[high] @ psi[low]) / (psi[low] @ psi[low]) * psi[low]
+
+        # an orthogonal pair whose lower row ends the first block, then one
+        # whose lower row opens the second; a tied orthogonal pair further
+        # on must not win over either
+        for twin in (step - 1, step):
+            psi = base.copy()
+            orthogonalize(psi, twin, twin + 1)
+            orthogonalize(psi, 2 * step + 5, n - 1)
+            assert greedy_coherence(psi, 2).chosen == (twin, twin + 1)
+
+    def test_no_n_by_n_table(self):
+        psi = generate(GeneratorSpec("gaussian", 2000, 30, seed=0))
+        tracemalloc.start()
+        try:
+            greedy_coherence(psi, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2000 x 2000 float64 coherence table alone would take 30.5 MiB
+        assert peak < 8 * 2**20
 
 
 class TestBestInTies:
