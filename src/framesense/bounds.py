@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import (
     _check_sensor_count,
     _enumerable,
+    _integer,
     _rank_lost,
     _walk_subsets,
     as_sensing_matrix,
@@ -211,7 +212,7 @@ def untf_reference(num_sensors: int, k: int):
 
     Returns ``(L**2 / K, K**2 / L, L / K)`` for L rows in K dimensions.
     """
-    if k < 1 or num_sensors < k:
+    if _integer("num_sensors", num_sensors) < _integer("k", k, low=1):
         raise ValueError(f"need num_sensors >= k >= 1, got num_sensors={num_sensors}, k={k}")
     return (
         num_sensors**2 / k,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
@@ -27,12 +26,12 @@ from .bounds import (
     _spectrum_delta,
     compute_bounds_report,
 )
-from .linalg import _check_positive, _check_sensor_count, _enumerable, _walk_subsets
-from .linalg import as_sensing_matrix, frame_potential, mse
+from .linalg import _check_positive, _check_seed, _check_sensor_count, _enumerable, _flag, _integer
+from .linalg import _real, _walk_subsets, as_sensing_matrix, frame_potential, mse
 from .matgen import FAMILIES, GeneratorSpec, generate
 from .matio import csv_row, load_matrix
 from .placement import _SENSOR_RANGES, ALGORITHMS, PlacementOptions, run_placement
-from .seeding import _check_seed, derive_seed
+from .seeding import derive_seed
 
 __all__ = [
     "AGG_CSV_HEADER",
@@ -102,22 +101,15 @@ class ExperimentConfig:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}, expected one of {ALGORITHMS}")
-        for name in ("n", "k", "trials", "threads", "master_seed"):
-            _integer(name, getattr(self, name))
-        for name in ("entry_scale", "sigma2") + (() if self.scale is None else ("scale",)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not isinstance(self.normalize_rows, bool):
-            raise ValueError(f"normalize_rows must be true or false, got {self.normalize_rows!r}")
+        for name, low in (("n", None), ("k", None), ("trials", 1), ("threads", 1)):
+            _integer(name, getattr(self, name), low)
+        _check_seed(self.master_seed, "master_seed")
+        for name in ("entry_scale",) + (() if self.scale is None else ("scale",)):
+            _real(name, getattr(self, name))
+        _check_positive(self.sigma2)
+        _flag("normalize_rows", self.normalize_rows)
         if self.matrix_csv is not None and not isinstance(self.matrix_csv, str):
             raise ValueError(f"matrix_csv must be a path, got {self.matrix_csv!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
-        _check_positive(self.sigma2)
-        _check_seed(self.master_seed, "master_seed")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -141,13 +133,6 @@ def _listed(name: str, value) -> tuple:
     if not isinstance(value, (list, tuple)) or not value:
         raise ValueError(f"{name} must be a non-empty list, got {value!r}")
     return tuple(value)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; ValueError, naming it, unless it is an integer and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_grid(algorithms, l_values, n: int, k: int, where: str = ""):

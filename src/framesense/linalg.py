@@ -10,6 +10,7 @@ problems, meaning hundreds of candidate rows and tens of columns.
 from __future__ import annotations
 
 import math
+import numbers
 from itertools import combinations
 
 import numpy as np
@@ -218,25 +219,58 @@ def mse(psi, sel, sigma2=1.0) -> float:
     return _check_positive(sigma2) * _unit_mse(sym_eigenvalues(gram(psi, sel)))
 
 
+def _integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int; ValueError, naming it, unless it is an integer and not a bool.
+
+    With ``low``, also unless it is at least ``low``. The one rule of every
+    count, index and seed a caller passes in, config files included.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; ValueError, naming it, unless it is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _flag(name: str, value) -> None:
+    """ValueError, naming it, unless ``value`` is ``True`` or ``False``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
 def _check_positive(value, name: str = "sigma2") -> float:
-    """``value`` as a float; ValueError, naming it, unless it is positive and finite.
+    """``value`` as a float; ValueError, naming it, unless it is a positive, finite real.
 
     The one rule for a noise variance ``sigma2`` and for a matrix's
     ``entry_scale``.
     """
-    value = float(value)
+    value = _real(name, value)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 
-def _check_sensor_count(who: str, num_sensors: int, low: int, high: int, shape) -> None:
-    """ValueError, naming ``who``, unless ``low <= num_sensors <= high``.
+def _check_seed(seed, name: str = "seed") -> None:
+    """ValueError, naming it, unless ``seed`` is an unsigned 64-bit integer."""
+    if not 0 <= _integer(name, seed) < 2**64:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed}")
+
+
+def _check_sensor_count(who: str, num_sensors, low: int, high: int, shape) -> None:
+    """ValueError, naming ``who``, unless ``num_sensors`` is an integer in ``[low, high]``.
 
     The one range message of every placer, certificate and grid check;
     ``shape`` is the (N, K) of the matrix the range belongs to.
     """
-    if not low <= num_sensors <= high:
+    if not low <= _integer(f"{who} sensor count", num_sensors) <= high:
         raise ValueError(f"{who} needs a sensor count in [{low}, {high}] for a "
                          f"{shape[0]} x {shape[1]} matrix, got {num_sensors}")
 
@@ -387,8 +421,8 @@ def row_normalize(psi) -> SensingMatrix:
 def coherence(psi, i: int, j: int) -> float:
     """Normalized absolute inner product of rows i and j, clipped to [0, 1]."""
     m = as_sensing_matrix(psi)
-    for idx in (i, j):
-        if not 0 <= idx < m.n:
+    for name, idx in (("i", i), ("j", j)):
+        if not 0 <= _integer(name, idx) < m.n:
             raise IndexError(f"row index {idx} out of range for {m.n} rows")
     norms = m.row_norms
     if norms[i] <= _MIN_ROW_NORM or norms[j] <= _MIN_ROW_NORM:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SensingMatrix, _check_positive, row_normalize
-from .seeding import _check_seed, philox_generator
+from .linalg import SensingMatrix, _check_positive, _check_seed, _integer, _real, row_normalize
+from .seeding import philox_generator
 
 __all__ = ["FAMILIES", "GeneratorSpec", "generate"]
 
@@ -48,14 +48,14 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.n < 1 or self.k < 1:
-            raise ValueError(f"matrix dimensions must be positive, got n={self.n}, k={self.k}")
+        _integer("n", self.n, low=1)
+        _integer("k", self.k, low=1)
         _check_seed(self.seed)
         _check_positive(self.entry_scale, "entry_scale")
         if self.family == "stacked_scaled":
             if self.n % 2 != 0:
                 raise ValueError("stacked_scaled needs an even number of rows")
-            if self.scale is None or not (math.isfinite(self.scale) and self.scale > 1.0):
+            if self.scale is None or not 1.0 < _real("scale", self.scale) < math.inf:
                 raise ValueError(f"stacked_scaled needs scale > 1, got {self.scale}")
         elif self.scale is not None:
             raise ValueError(f"scale only applies to stacked_scaled, got family {self.family!r}")

@@ -47,10 +47,11 @@ def save_matrix(path, matrix) -> None:
         arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
+    # one % per row over Python floats takes half the time of one per numpy scalar
+    fmt = ",".join([FLOAT_FMT] * arr.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        for row in arr:
-            fh.write(",".join(FLOAT_FMT % v for v in row))
-            fh.write("\n")
+        for row in arr.tolist():
+            fh.write(fmt % tuple(row))
 
 
 def load_matrix(path) -> np.ndarray:

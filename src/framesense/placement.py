@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import ORACLE_SUBSET_LIMIT, RANK_RTOL, as_sensing_matrix, row_normalize
-from .linalg import _check_positive, _check_sensor_count, _walk_subsets
-from .seeding import _check_seed, philox_generator
+from .linalg import _check_positive, _check_seed, _check_sensor_count, _flag, _walk_subsets
+from .seeding import philox_generator
 
 __all__ = [
     "ALGORITHMS",
@@ -129,6 +129,7 @@ class PlacementOptions:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
+        _flag("normalize_rows", self.normalize_rows)
         _check_seed(self.seed)
         _check_positive(self.sigma2)
 

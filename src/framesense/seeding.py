@@ -34,9 +34,3 @@ def philox_generator(label: str, *parts: int) -> np.random.Generator:
 def derive_seed(label: str, *parts: int) -> int:
     """64-bit unsigned seed for handing to downstream components."""
     return stream_key(label, *parts) & 0xFFFFFFFFFFFFFFFF
-
-
-def _check_seed(seed: int, name: str = "seed") -> None:
-    """ValueError unless ``seed`` is an unsigned 64-bit integer."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed}")

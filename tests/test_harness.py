@@ -470,6 +470,12 @@ class TestOracleAudit:
             assert row.mse_opt == exhaustive_oracle(matrix, l, "mse")[1]
             assert row.report.delta == delta_bound(matrix, l)
 
+    def test_single_column_cells_pass_certificates(self):
+        # K = 1: every row is a multiple of one vector, so each subset's Gram
+        # matrix is its energy and the envelope collapses onto the MSE
+        info = oracle_audit(small_cfg(n=10, k=1, l_values=(1, 4, 8), trials=2)).summary()
+        assert (info["audited"], info["fp_pass"], info["mse_pass"]) == (6, 6, 6)
+
     def test_l_below_k_refused_before_any_placement(self, monkeypatch):
         # the certificate needs L >= K; the L = 4 cell would run first
         calls = record_placements(monkeypatch)

@@ -30,6 +30,19 @@ def test_roundtrip_extreme_values(tmp_path):
     assert np.array_equal(load_matrix(path), src)
 
 
+def test_written_bytes_are_pinned(tmp_path):
+    src = np.array([
+        [-0.0, 5e-324, 1.7976931348623157e308],
+        [-1.7976931348623157e308, 0.1, 123456789012345678.0],
+    ])
+    path = tmp_path / "m.csv"
+    save_matrix(path, src)
+    assert path.read_bytes() == (
+        b"-0,4.9406564584124654e-324,1.7976931348623157e+308\n"
+        b"-1.7976931348623157e+308,0.10000000000000001,1.2345678901234568e+17\n"
+    )
+
+
 def test_save_accepts_sensing_matrix(tmp_path):
     m = SensingMatrix([[1.0, 2.0], [3.0, 4.0]])
     path = tmp_path / "m.csv"

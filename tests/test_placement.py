@@ -601,6 +601,26 @@ class TestScale:
         assert greedy_mse(psi * 1e150, 4).chosen == greedy_mse(psi, 4).chosen == (4, 2, 7, 6)
 
 
+class TestSingleColumn:
+    """K = 1: every row is a multiple of one vector, and unit-norm rows all tie."""
+
+    @pytest.mark.parametrize("l", [2, 5, 8])
+    def test_placers_match_references(self, l):
+        for seed in range(3):
+            psi = generate(GeneratorSpec("gaussian", 10, 1, seed=seed))
+            e = psi.entries
+            for normalize in (True, False):
+                fast = framesense(psi, l, PlacementOptions(normalize_rows=normalize))
+                assert list(fast.eliminated) == naive_framesense(e, l, normalize), (seed, normalize)
+            ridge = default_ridge(psi)
+            assert list(greedy_det(psi, l).chosen) == exact_best_in(e, l, "det", ridge), seed
+            assert list(greedy_mse(psi, l).chosen) == exact_best_in(e, l, "mse", ridge), seed
+            assert list(greedy_mi(psi, l).chosen) == naive_mi(e, l, 1.0, ridge), seed
+            assert list(greedy_coherence(psi, l).chosen) == naive_coherence(e, l)[0], seed
+            rand = random_placement(psi, l, seed=seed)
+            assert len(rand.chosen) == l and sorted(rand.chosen + rand.eliminated) == list(range(10))
+
+
 class TestRandomPlacement:
     def test_full_selection(self):
         sel = random_placement(np.eye(4), 4)
