@@ -21,6 +21,7 @@ from .linalg import (
     _enumerable,
     _integer,
     _rank_lost,
+    _real,
     _walk_subsets,
     as_sensing_matrix,
     frame_potential,
@@ -58,7 +59,9 @@ def _rounding_allowance(k: int) -> float:
     With unit roundoff u = eps / 2, a K x K Gram matrix, and to first order:
 
     - the frame potential sums K^2 nonnegative squares pairwise, off by at
-      most (1 + 2 log2 K) u <= 3 K u;
+      most (1 + 2 log2 K) u <= 3 K u. Both sides of the gamma check sum the
+      same Gram form by the one rule of ``frame_potential``, so a greedy
+      selection that is optimal reads exactly the optimum's value;
     - each extreme eigenvalue from the backward-stable ``eigvalsh`` is off by
       about K u of the largest, which is relative on a collapsed cell; the
       envelope squares one, for 2 K u;
@@ -114,6 +117,8 @@ def mse_approx_factor(gamma: float, d: float, delta: float, l_min: float, l_max:
     vacuous when the spectrum half-width ``delta`` reaches the center ``d``,
     and that case raises.
     """
+    gamma, d, delta = _real("gamma", gamma), _real("d", d), _real("delta", delta)
+    l_min, l_max = _real("l_min", l_min), _real("l_max", l_max)
     if not (math.isfinite(gamma) and gamma >= 1.0):
         raise ValueError(f"gamma must be finite and at least 1, got {gamma}")
     if not (math.isfinite(delta) and delta >= 0.0):
@@ -136,6 +141,7 @@ def mse_envelope(psi, sel, l_min: float, l_max: float):
     an infinite bracket.
     """
     m = as_sensing_matrix(psi)
+    l_min, l_max = _real("l_min", l_min), _real("l_max", l_max)
     if l_min <= 0.0 or l_max < l_min:
         raise ValueError(f"need 0 < l_min <= l_max, got l_min={l_min}, l_max={l_max}")
     fp_sel = frame_potential(m, sel)
@@ -238,6 +244,7 @@ def mp_scenario(c1: float, c2: float):
     same inputs; that figure does not follow from the expression above, so
     the computed product is reported as is. See :func:`mp_scenario_report`.
     """
+    c1, c2 = _real("c1", c1), _real("c2", c2)
     if not (0.0 < c1 < 1.0 < c2):
         raise ValueError(f"need 0 < c1 < 1 < c2, got c1={c1}, c2={c2}")
     gamma = 1.0 + (c2**2 - 1.0) / math.e
@@ -317,9 +324,8 @@ def compute_bounds_report(psi, num_sensors: int, sel, delta: float | None = None
     gamma = fp_approx_factor(m, num_sensors)
     d = l_mean / m.k
     if delta is None:
-        delta = math.nan
-        if _enumerable(m.n, num_sensors):
-            delta = delta_bound(m, num_sensors)
+        delta = delta_bound(m, num_sensors) if _enumerable(m.n, num_sensors) else math.nan
+    delta = _real("delta", delta)
     if math.isfinite(delta) and d > delta and l_min > 0.0:
         eta = mse_approx_factor(gamma, d, delta, l_min, l_max)
     else:

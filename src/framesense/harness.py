@@ -488,7 +488,9 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
     gather, Gram product and ``eigvalsh`` call per subset; both optima and
     delta come from that walk, with the values :func:`exhaustive_oracle`
     and :func:`delta_bound` return, so every walked instance reports its
-    delta.
+    delta. ``fp_greedy`` and ``fp_opt`` follow the one rule of
+    :func:`~framesense.linalg.frame_potential`, so a greedy selection that
+    is optimal reports ``fp_greedy == fp_opt`` exactly.
 
     The certified greedy always runs with ``normalize_rows=False``, the run
     the gamma certificate covers; ``cfg.normalize_rows`` does not apply to

@@ -173,12 +173,22 @@ def sym_eigenvalues(t) -> np.ndarray:
     scale = 1.0 + float(np.abs(a).max(initial=0.0))
     if float(np.abs(a - a.T).max(initial=0.0)) > 1e-8 * scale:
         raise ValueError("matrix is not symmetric")
-    try:
-        lam = np.linalg.eigvalsh(a)[::-1]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue computation did not converge: {exc}") from exc
+    lam = _eigen(a)[::-1]
     lam.setflags(write=False)
     return lam
+
+
+def _eigen(a, vectors: bool = False):
+    """``numpy.linalg.eigvalsh(a)``, or ``eigh(a)`` with ``vectors``, in ascending order.
+
+    The one place a LAPACK failure (``numpy.linalg.LinAlgError``) becomes
+    :class:`ConvergenceError`. Both routines are looked up at call time, so
+    one replaced on ``numpy.linalg`` is the one that runs.
+    """
+    try:
+        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue computation did not converge: {exc}") from exc
 
 
 def frame_potential(psi, sel=None) -> float:
@@ -188,16 +198,21 @@ def frame_potential(psi, sel=None) -> float:
     terms included. ``sel=None`` uses every row.
     """
     m = as_sensing_matrix(psi)
-    if sel is None:
-        block = m.entries
-    else:
-        block = m.entries[_selection_indices(sel, m.n)]
-    # Both Gram forms have the same squared Frobenius norm; use the smaller.
+    return _frame_potential(m.entries if sel is None else m.entries[_selection_indices(sel, m.n)])
+
+
+def _frame_potential(block, g=None) -> float:
+    """The one frame-potential rule: the sum of squares of the smaller Gram form of ``block``.
+
+    Both forms, ``block @ block.T`` (L x L) and ``block.T @ block`` (K x K),
+    have the same squared Frobenius norm; the L x L one is used when
+    L <= K. ``g``, when given, is the K x K form the caller already formed.
+    """
     if block.shape[0] <= block.shape[1]:
         g = block @ block.T
-    else:
+    elif g is None:
         g = block.T @ block
-    return float(np.sum(g * g))
+    return float((g * g).sum())
 
 
 def mse(psi, sel, sigma2=1.0) -> float:
@@ -303,11 +318,13 @@ def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
     """One pass over every size-``size`` row subset, in lexicographic order.
 
     Serves the exhaustive oracles and the spectrum-concentration search, so
-    an audit cell enumerates its subsets once. Per subset it builds one index
-    array; when ``fp`` is set it sums that subset's entries of the N x N
-    squared-inner-product table, and when ``spectrum`` is set it gathers the
-    rows, forms ``block.T @ block`` and takes one ``numpy.linalg.eigvalsh``.
-    An FP-only walk does no eigen work. Eigenvalues and MSEs equal those of
+    an audit cell enumerates its subsets once. Per subset it gathers the
+    rows once; when ``spectrum`` is set it forms ``block.T @ block`` and
+    takes one ``numpy.linalg.eigvalsh``, and when ``fp`` is set it sums the
+    squares of the smaller Gram form by :func:`frame_potential`'s rule,
+    reusing that K x K Gram matrix when L > K. An FP-only walk does no eigen
+    work, and no walk forms an N x N array. Frame potentials, eigenvalues
+    and MSEs equal those of ``frame_potential(m, sub)``,
     ``sym_eigenvalues(gram(m, sub))`` and ``mse(m, sub)`` bit for bit; the
     checks those functions make on every call are replaced by one check per
     walk. A LAPACK failure raises :class:`ConvergenceError`.
@@ -331,39 +348,31 @@ def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
                          f"enumeration guard of {ORACLE_SUBSET_LIMIT}")
     e = m.entries
     # Every entry of a subset's Gram matrix is at most the sum of its squared
-    # row norms in magnitude, and its frame potential, like every entry of
-    # the squared-inner-product table, at most that sum squared.
+    # row norms in magnitude, and its frame potential at most that sum squared.
     top = float(np.sort(np.einsum("ij,ij->i", e, e))[m.n - size :].sum())
     if not math.isfinite(top * top if fp else top):
         what = "frame potentials" if fp else "Gram matrices"
         raise ValueError(f"subset {what} overflow float64; rescale the matrix")
-    if fp:
-        g = e @ e.T
-        g2 = g * g
-    eigvalsh = np.linalg.eigvalsh
-    fp_best = mse_best = None
+    fp_best = mse_best = g = None
     low, high = math.inf, -math.inf
-    try:
-        for sub in combinations(range(m.n), size):
-            idx = np.array(sub)
-            if fp:
-                val = float(g2[idx[:, None], idx].sum())
-                if fp_best is None or val < fp_best[1]:
-                    fp_best = sub, val
-            if spectrum:
-                block = e[idx]
-                lam = eigvalsh(block.T @ block)[::-1]
-                val = _unit_mse(lam)
-                if mse_best is None or val < mse_best[1]:
-                    mse_best = sub, val
-                val = float(lam[-1])
-                if val < low:
-                    low = val
-                val = float(lam[0])
-                if val > high:
-                    high = val
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue computation did not converge: {exc}") from exc
+    for sub in combinations(range(m.n), size):
+        block = e.take(sub, axis=0)
+        if spectrum:
+            g = block.T @ block
+            lam = _eigen(g)[::-1]
+            val = _unit_mse(lam)
+            if mse_best is None or val < mse_best[1]:
+                mse_best = sub, val
+            val = float(lam[-1])
+            if val < low:
+                low = val
+            val = float(lam[0])
+            if val > high:
+                high = val
+        if fp:
+            val = _frame_potential(block, g)
+            if fp_best is None or val < fp_best[1]:
+                fp_best = sub, val
     return fp_best, mse_best, (low, high) if spectrum else None
 
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import ORACLE_SUBSET_LIMIT, RANK_RTOL, as_sensing_matrix, row_normalize
-from .linalg import _check_positive, _check_seed, _check_sensor_count, _flag, _walk_subsets
+from .linalg import ORACLE_SUBSET_LIMIT, RANK_RTOL, ConvergenceError, as_sensing_matrix, row_normalize
+from .linalg import _check_positive, _check_seed, _check_sensor_count, _eigen, _flag, _walk_subsets
 from .seeding import philox_generator
 
 __all__ = [
@@ -364,7 +364,8 @@ def greedy_det(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     gain of each pick; ``K * log(ridge)`` plus their sum is the log
     determinant of the final ridged Gram matrix. The ridge is 1e-6 times
     the mean squared row norm; a matrix where that overflows float64, or
-    an all-zero matrix, raises ValueError.
+    an all-zero matrix, raises ValueError, and a LAPACK failure
+    ConvergenceError.
     """
 
     def score(inv, y2):
@@ -384,7 +385,8 @@ def greedy_mse(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     the trace until the chosen rows span all K directions, weighs every
     candidate alike instead of rounding differently for each. The ridge is
     that of :func:`greedy_det`; it scales with the rows, so the picks do not
-    depend on the scale of the matrix.
+    depend on the scale of the matrix. A LAPACK failure raises
+    ConvergenceError.
     """
 
     def score(inv, y2):
@@ -433,9 +435,9 @@ def _eigen_step(g, shift, x):
 
     G is a K x K Gram matrix. Returns ``inv`` and the squared coordinates
     ``y2`` of the rows of ``x``, so each row's ``x^T (shift I + G)^-1 x`` is
-    its entry of ``y2 @ inv``.
+    its entry of ``y2 @ inv``. A LAPACK failure raises ConvergenceError.
     """
-    lam, vec = np.linalg.eigh(g)
+    lam, vec = _eigen(g, vectors=True)
     # directions lost by the package's rank rule weigh exactly 1 / shift
     lam[lam < RANK_RTOL * lam[-1]] = 0.0
     return 1.0 / (shift + lam), (x @ vec) ** 2
@@ -456,7 +458,7 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
     the free rows. No N x N covariance is formed; each step takes two K x K
     eigenbases, O(N K^2), and memory stays O(N K). The ridge is that of
     :func:`greedy_det`. A conditional variance that is not positive and
-    finite, or a ridge that overflows float64, raises
+    finite, a ridge that overflows float64, or a LAPACK failure raises
     CovarianceConditioningError.
     """
     m = as_sensing_matrix(psi)
@@ -490,7 +492,7 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
 
     try:
         return _best_in(n, num_sensors, objective)
-    except np.linalg.LinAlgError as exc:
+    except ConvergenceError as exc:
         raise CovarianceConditioningError(f"conditioning failed: {exc}") from exc
 
 
@@ -547,11 +549,14 @@ def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
     Minimizes either the frame potential (``"fp"``) or the unit-variance
     reconstruction error (``"mse"``). Both run the one lexicographic subset
     walk that :func:`framesense.bounds.delta_bound` and audits share; ties
-    resolve to the lexicographically smallest subset. The ``"fp"`` walk sums
-    entries of the N x N squared-inner-product table and does no eigen work;
-    the ``"mse"`` walk takes one gather, Gram product and ``eigvalsh`` call
-    per subset, with the rank rule and the values of
-    :func:`framesense.linalg.mse`. Refuses instances with more than
+    resolve to the lexicographically smallest subset. Each subset's rows are
+    gathered once. The ``"fp"`` walk sums the squares of their smaller Gram
+    form and does no eigen work; the ``"mse"`` walk takes one Gram product
+    and ``eigvalsh`` call per subset, with the rank rule of
+    :func:`framesense.linalg.mse`. The optimum's value is what
+    :func:`framesense.linalg.frame_potential` or
+    :func:`framesense.linalg.mse` returns for that subset, bit for bit, and
+    no N x N array is formed. Refuses instances with more than
     :data:`ORACLE_SUBSET_LIMIT` subsets, and matrices whose subset frame
     potentials (``"fp"``) or Gram matrices (``"mse"``) could overflow
     float64.

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _integer
+
 __all__ = ["derive_seed", "philox_generator", "stream_key"]
 
 
 def stream_key(label: str, *parts: int) -> int:
-    """128-bit key derived from a label and integer parameters."""
+    """128-bit key derived from a label and integer parameters.
+
+    A part that is not an integer, or is a bool, raises ValueError.
+    """
     # imported here: hashlib loads OpenSSL, which a run drawing nothing never needs
     import hashlib
 
@@ -22,7 +27,7 @@ def stream_key(label: str, *parts: int) -> int:
     h.update(label.encode("ascii"))
     for part in parts:
         h.update(b"|")
-        h.update(str(int(part)).encode("ascii"))
+        h.update(str(_integer("stream key part", part)).encode("ascii"))
     return int.from_bytes(h.digest()[:16], "little")
 
 

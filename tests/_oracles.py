@@ -159,18 +159,14 @@ def best_subset(psi, size, objective):
 def walk_reference(psi, size):
     """What ``linalg._walk_subsets(m, size, fp=True, spectrum=True)`` returns.
 
-    Subset by subset through the public API: MSE from ``mse``, eigenvalues
-    from ``sym_eigenvalues(gram(...))``, optima by :func:`best_subset`. FP
-    is the sum of the subset's entries of the N x N squared-inner-product
-    table, the form the walk reads; ``frame_potential`` sums a K x K or
-    L x L Gram form instead, which rounds differently.
+    Subset by subset through the public API: FP from ``frame_potential``,
+    MSE from ``mse``, eigenvalues from ``sym_eigenvalues(gram(...))``,
+    optima by :func:`best_subset`.
     """
-    from framesense.linalg import gram, mse, sym_eigenvalues
+    from framesense.linalg import frame_potential, gram, mse, sym_eigenvalues
 
     a = np.asarray(getattr(psi, "entries", psi), dtype=float)
-    g = a @ a.T
-    g2 = g * g
-    fp_best = best_subset(a, size, lambda s: float(g2[np.ix_(s, s)].sum()))
+    fp_best = best_subset(a, size, lambda s: frame_potential(a, s))
     mse_best = best_subset(a, size, lambda s: mse(a, s, 1.0))
     spectra = [sym_eigenvalues(gram(a, s)) for s in itertools.combinations(range(len(a)), size)]
     low = min(float(lam[-1]) for lam in spectra)

@@ -129,6 +129,18 @@ class TestPlace:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: eigenvalue computation did not converge\n"
 
+    def test_eigen_failure_in_det_exits_2(self, monkeypatch, capsys):
+        from framesense import cli
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        argv = ["place", "--gen", "gaussian", "--n", "8", "--k", "3", "--sensors", "4",
+                "--algo", "det"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: eigenvalue computation did not converge")
+
     def test_matrix_from_stdin(self, tmp_path):
         path = tmp_path / "m.csv"
         save_matrix(path, generate(GeneratorSpec("gaussian", 12, 3, seed=5)))

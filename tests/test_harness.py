@@ -400,6 +400,22 @@ class TestOracleAudit:
             sel = run_placement(matrix, row.report.l, PlacementOptions(normalize_rows=False))
             assert row.fp_greedy == frame_potential(matrix, sel.chosen)
 
+    def test_optimal_greedy_reports_fp_opt_exactly(self):
+        # one FP rule for one set of rows: wherever framesense finds the
+        # oracle's subset, its FP and the optimum are the same float
+        same = 0
+        for family in ("gaussian", "bernoulli"):
+            table = oracle_audit(small_cfg(family=family, n=12, k=3, l_values=(4, 6, 8, 10),
+                                           trials=10))
+            for row in table.rows:
+                matrix = generate(GeneratorSpec(family, 12, 3, seed=row.seed))
+                sel = run_placement(matrix, row.report.l, PlacementOptions(normalize_rows=False))
+                best, _ = exhaustive_oracle(matrix, row.report.l, "fp")
+                if sel.chosen == best.chosen:
+                    same += 1
+                    assert row.fp_greedy == row.fp_opt, (family, row.trial, row.report.l)
+        assert same >= 10
+
     def test_greedy_values_match_direct_run(self):
         cfg = small_cfg(n=8, l_values=(4,), trials=1)
         row = oracle_audit(cfg).rows[0]

@@ -30,6 +30,7 @@ from framesense import (
     row_normalize,
     run_placement,
 )
+from framesense.linalg import ConvergenceError
 from framesense.placement import _PAIR_BLOCK_ENTRIES, _SENSOR_RANGES, _ridge
 
 from _oracles import (
@@ -621,6 +622,26 @@ class TestSingleColumn:
             assert len(rand.chosen) == l and sorted(rand.chosen + rand.eliminated) == list(range(10))
 
 
+class TestLapackFailure:
+    """An eigen failure in the shared eigenbasis step reaches callers as the package's errors."""
+
+    @pytest.fixture(autouse=True)
+    def failing_eigh(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+
+    @pytest.mark.parametrize("placer", [greedy_det, greedy_mse])
+    def test_det_and_mse_raise_convergence_error(self, placer):
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            placer(random_instance(5, n=8, k=3), 4)
+
+    def test_mi_raises_conditioning_error(self):
+        with pytest.raises(CovarianceConditioningError, match="did not converge"):
+            greedy_mi(random_instance(5, n=8, k=3), 4)
+
+
 class TestRandomPlacement:
     def test_full_selection(self):
         sel = random_placement(np.eye(4), 4)
@@ -652,12 +673,27 @@ class TestExhaustiveOracle:
         assert val == 2.0
 
     def test_matches_brute_force_fp(self):
-        for seed in range(6):
-            psi = random_instance(seed + 40, n=8, k=3)
-            sel, val = exhaustive_oracle(psi, 4, "fp")
-            want_sub, want_val = best_subset(psi, 4, lambda s: frame_potential(psi, s))
+        # the walk sums FP by frame_potential's rule, so its optimum and the
+        # optimum's value are those of a brute force over frame_potential
+        cases = [(random_instance(seed + 40, n=8, k=3), 4) for seed in range(6)]
+        cases += [(generate(GeneratorSpec("gaussian", 12, 3, seed=seed)).entries, size)
+                  for seed in range(50) for size in (3, 4, 6, 9)]
+        for psi, size in cases:
+            sel, val = exhaustive_oracle(psi, size, "fp")
+            want_sub, want_val = best_subset(psi, size, lambda s: frame_potential(psi, s))
             assert sel.chosen == want_sub
-            assert val == pytest.approx(want_val, rel=1e-12)
+            assert val == want_val == frame_potential(psi, sel.chosen)
+
+    def test_fp_walk_forms_no_n_by_n_array(self):
+        # an N x N table of 2000 rows would take 30.5 MiB, and its square as much
+        psi = generate(GeneratorSpec("gaussian", 2000, 3, seed=1))
+        tracemalloc.start()
+        try:
+            exhaustive_oracle(psi, 1, "fp")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_matches_brute_force_mse(self):
         psi = random_instance(77, n=7, k=3)

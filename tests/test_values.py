@@ -14,6 +14,7 @@ from framesense import (
     ExperimentConfig,
     GeneratorSpec,
     PlacementOptions,
+    compute_bounds_report,
     delta_bound,
     exhaustive_oracle,
     fp_approx_factor,
@@ -24,11 +25,16 @@ from framesense import (
     greedy_mi,
     greedy_mse,
     l_min_max,
+    mp_scenario,
+    mp_scenario_report,
     mse,
+    mse_approx_factor,
+    mse_envelope,
     random_placement,
     untf_reference,
 )
 from framesense.linalg import coherence
+from framesense.seeding import derive_seed, philox_generator, stream_key
 
 PSI = generate(GeneratorSpec("gaussian", 8, 3, seed=0))
 
@@ -60,6 +66,22 @@ CALLERS = [
     ("coherence.i", "i", "count", lambda v: coherence(PSI, v, 2)),
     ("coherence.j", "j", "count", lambda v: coherence(PSI, 1, v)),
     ("mse.sigma2", "sigma2", "real", lambda v: mse(PSI, [0, 1, 2, 3], sigma2=v)),
+    ("mse_envelope.l_min", "l_min", "real", lambda v: mse_envelope(PSI, [0, 1, 2, 3], v, 2.0)),
+    ("mse_envelope.l_max", "l_max", "real", lambda v: mse_envelope(PSI, [0, 1, 2, 3], 1.0, v)),
+    ("mse_approx_factor.gamma", "gamma", "real", lambda v: mse_approx_factor(v, 2.0, 0.5, 1.0, 2.0)),
+    ("mse_approx_factor.d", "d", "real", lambda v: mse_approx_factor(2.0, v, 0.5, 1.0, 2.0)),
+    ("mse_approx_factor.delta", "delta", "real", lambda v: mse_approx_factor(2.0, 2.0, v, 1.0, 2.0)),
+    ("mse_approx_factor.l_min", "l_min", "real", lambda v: mse_approx_factor(2.0, 2.0, 0.5, v, 2.0)),
+    ("mse_approx_factor.l_max", "l_max", "real", lambda v: mse_approx_factor(2.0, 2.0, 0.5, 1.0, v)),
+    ("mp_scenario.c1", "c1", "real", lambda v: mp_scenario(v, 6.0)),
+    ("mp_scenario.c2", "c2", "real", lambda v: mp_scenario(0.25, v)),
+    ("mp_scenario_report.c1", "c1", "real", lambda v: mp_scenario_report(v, 6.0)),
+    ("mp_scenario_report.c2", "c2", "real", lambda v: mp_scenario_report(0.25, v)),
+    ("compute_bounds_report.delta", "delta", "real",
+     lambda v: compute_bounds_report(PSI, 4, [0, 1, 2, 3], delta=v)),
+    ("stream_key", "stream key part", "count", lambda v: stream_key("x", v)),
+    ("derive_seed", "stream key part", "count", lambda v: derive_seed("x", 2, v)),
+    ("philox_generator", "stream key part", "count", lambda v: philox_generator("x", v)),
     ("GeneratorSpec.n", "n", "count", lambda v: GeneratorSpec("gaussian", v, 3)),
     ("GeneratorSpec.k", "k", "count", lambda v: GeneratorSpec("gaussian", 8, v)),
     ("GeneratorSpec.seed", "seed", "seed", lambda v: GeneratorSpec("gaussian", 8, 3, seed=v)),
