@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, metavar="FILE", help="JSON config")
         cmd.add_argument("--out", required=True, metavar="PREFIX", help="output path prefix")
-        if name.startswith("sweep-"):
+        if name == "sweep-mse":
             cmd.add_argument(
                 "--threads", type=int, metavar="W",
                 help="worker threads, overrides the config value",
@@ -99,37 +99,29 @@ def _cmd_place(args) -> int:
     return 0
 
 
-_SWEEPS = {"sweep-mse": "sweep_mse", "sweep-time": "sweep_timing"}
+_RUNS = {"sweep-mse": "sweep_mse", "sweep-time": "sweep_timing", "audit": "oracle_audit"}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_run(args) -> int:
     from . import harness
 
-    table = getattr(harness, _SWEEPS[args.command])(_load_config(args))
+    table = getattr(harness, _RUNS[args.command])(_load_config(args))
     for path in table.write(args.out):
         print("wrote", path)
-    return 0
-
-
-def _cmd_audit(args) -> int:
-    from .harness import ExperimentConfig, oracle_audit
-
-    table = oracle_audit(ExperimentConfig.from_json(args.config))
-    for path in table.write(args.out):
-        print("wrote", path)
-    info = table.summary()
-    print(
-        "audited %d/%d instances, fp pass %d, mse pass %d"
-        % (info["audited"], info["instances"], info["fp_pass"], info["mse_pass"])
-    )
+    if args.command == "audit":
+        info = table.summary()
+        print(
+            "audited %d/%d instances, fp pass %d, mse pass %d"
+            % (info["audited"], info["instances"], info["fp_pass"], info["mse_pass"])
+        )
     return 0
 
 
 def _cmd_matgen(args) -> int:
-    from .harness import ExperimentConfig, _check_generation, _generator_spec
+    from .harness import ExperimentConfig, _checked_trials, _generator_spec
 
     cfg = ExperimentConfig.from_json(args.config)
-    _check_generation(cfg, "matgen", (cfg.n,))
+    _checked_trials(cfg, "matgen")
     if len(cfg.family) != 1:
         raise ValueError("matgen needs exactly one family in the config")
     path = str(args.out) + ".csv"
@@ -140,9 +132,9 @@ def _cmd_matgen(args) -> int:
 
 _COMMANDS = {
     "place": _cmd_place,
-    "sweep-mse": _cmd_sweep,
-    "sweep-time": _cmd_sweep,
-    "audit": _cmd_audit,
+    "sweep-mse": _cmd_run,
+    "sweep-time": _cmd_run,
+    "audit": _cmd_run,
     "matgen": _cmd_matgen,
 }
 

@@ -15,7 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -122,10 +122,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"{path}: unknown config keys {unknown}; known keys are {sorted(known)}")
         return cls(**data)
-
-    def check_l_values(self, n: int, k: int):
-        """Validate every (L, algorithm) cell of the grid on an N x K matrix."""
-        _check_grid(self.algorithms, self.l_values, n, k)
 
 
 def _listed(name: str, value) -> tuple:
@@ -319,21 +315,49 @@ def _generator_spec(cfg: ExperimentConfig, family: str, n: int, seed: int = 0) -
     return GeneratorSpec(family, n, cfg.k, seed, scale, cfg.entry_scale)
 
 
-def _check_generation(cfg: ExperimentConfig, command: str, n_values):
-    """ValueError unless ``command`` can generate every matrix of its run.
+def _checked_trials(cfg: ExperimentConfig, command: str, run_cell=None) -> list:
+    """Check a generated-matrix run before its first matrix; one task per trial.
 
-    Runs before the first placement: refuses ``matrix_csv``, which only
-    ``sweep-mse`` reads, and a ``scale`` that no family uses, then builds
-    every family's recipe at every N in ``n_values``, so a setting that
+    The one up-front check of ``sweep-mse``, ``sweep-time``, ``audit`` and
+    ``matgen``. It refuses ``matrix_csv``, which only ``sweep-mse`` reads,
+    on a path of its own, and a ``scale`` that no family uses. It builds
+    every family's recipe at every N of the run (``n``, or each
+    ``n_values`` entry for ``sweep-time``), so a setting that
     :class:`GeneratorSpec` refuses fails here and not partway through.
+    Then it checks every (L, algorithm) cell the command runs at each N:
+    a timing sweep runs L = ceil(N / 2), an audit certifies framesense,
+    and ``matgen`` runs none.
+
+    Returns one task per (family, N, trial), in that order. Each derives
+    its trial's seed, generates the matrix and returns
+    ``run_cell(cfg, matrix, family, trial, seed, l, algo)`` for each cell.
     """
     if cfg.matrix_csv is not None:
         raise ValueError(f"matrix_csv applies to sweep-mse only, not to {command}")
     if cfg.scale is not None and "stacked_scaled" not in cfg.family:
         raise ValueError(f"scale only applies to stacked_scaled, got families {cfg.family}")
+    n_values = cfg.n_values if command == "sweep-time" else (cfg.n,)
     for n in n_values:
         for family in cfg.family:
             _generator_spec(cfg, family, n)
+    cells = {}
+    for n in n_values:
+        where, l_values, algorithms = {
+            "sweep-mse": ("", cfg.l_values, cfg.algorithms),
+            "sweep-time": (f"timing grid point n={n}: ", ((n + 1) // 2,), cfg.algorithms),
+            "audit": ("audit: ", cfg.l_values, ("framesense",)),
+            "matgen": ("", (), ()),
+        }[command]
+        _check_grid(algorithms, l_values, n, cfg.k, where)
+        cells[n] = [(l, algo) for l in l_values for algo in algorithms]
+
+    def task(family, n, trial):
+        seed = _trial_seed(cfg.master_seed, family, trial)
+        matrix = generate(_generator_spec(cfg, family, n, seed))
+        return [run_cell(cfg, matrix, family, trial, seed, l, algo) for l, algo in cells[n]]
+
+    return [partial(task, family, n, trial)
+            for family in cfg.family for n in n_values for trial in range(cfg.trials)]
 
 
 def _placement_cell(cfg, matrix, family, trial, seed, l, algo, warmup=False) -> RawRow:
@@ -356,14 +380,15 @@ def _placement_cell(cfg, matrix, family, trial, seed, l, algo, warmup=False) -> 
     )
 
 
-def _run_tasks(tasks, threads: int) -> list:
+def _run_tasks(tasks, threads: int = 1) -> list:
+    """The rows of every task, in task order, run on ``threads`` workers."""
     if threads <= 1:
-        return [task() for task in tasks]
+        return [row for task in tasks for row in task()]
     # imported here: it loads logging, about 0.6 MiB that one-thread runs skip
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda task: task(), tasks))
+        return [row for rows in pool.map(lambda task: task(), tasks) for row in rows]
 
 
 def _sort_raw(rows: list) -> list:
@@ -377,33 +402,19 @@ def sweep_mse(cfg: ExperimentConfig) -> ResultTable:
     (L, algorithm) cell runs on that same matrix. Unbounded MSE cells are
     recorded as infinity rather than aborting the sweep.
     """
-    fixed = None
-    if cfg.matrix_csv is not None:
-        fixed = as_sensing_matrix(load_matrix(cfg.matrix_csv))
-        cfg.check_l_values(fixed.n, fixed.k)
-        families = ["csv"]
+    if cfg.matrix_csv is None:
+        tasks = _checked_trials(cfg, "sweep-mse", _placement_cell)
     else:
-        _check_generation(cfg, "sweep-mse", (cfg.n,))
-        cfg.check_l_values(cfg.n, cfg.k)
-        families = cfg.family
+        fixed = as_sensing_matrix(load_matrix(cfg.matrix_csv))
+        _check_grid(cfg.algorithms, cfg.l_values, fixed.n, fixed.k)
 
-    def make_task(family, trial):
-        def task():
-            seed = _trial_seed(cfg.master_seed, family, trial)
-            if fixed is not None:
-                matrix = fixed
-            else:
-                matrix = generate(_generator_spec(cfg, family, cfg.n, seed))
-            return [
-                _placement_cell(cfg, matrix, family, trial, seed, l, algo)
-                for l in cfg.l_values
-                for algo in cfg.algorithms
-            ]
-        return task
+        def task(trial):
+            seed = _trial_seed(cfg.master_seed, "csv", trial)
+            return [_placement_cell(cfg, fixed, "csv", trial, seed, l, algo)
+                    for l in cfg.l_values for algo in cfg.algorithms]
 
-    tasks = [make_task(family, trial) for family in families for trial in range(cfg.trials)]
-    raw = [row for rows in _run_tasks(tasks, cfg.threads) for row in rows]
-    return ResultTable(_sort_raw(raw), kind="mse")
+        tasks = [partial(task, trial) for trial in range(cfg.trials)]
+    return ResultTable(_sort_raw(_run_tasks(tasks, cfg.threads)), kind="mse")
 
 
 def sweep_timing(cfg: ExperimentConfig) -> ResultTable:
@@ -413,19 +424,8 @@ def sweep_timing(cfg: ExperimentConfig) -> ResultTable:
     cell runs once after one untimed warm-up; timing covers only the
     placement call, never matrix generation, evaluation, or I/O.
     """
-    _check_generation(cfg, "sweep-time", cfg.n_values)
-    for n in cfg.n_values:
-        _check_grid(cfg.algorithms, ((n + 1) // 2,), n, cfg.k, f"timing grid point n={n}: ")
-    rows = []
-    for family in cfg.family:
-        for n in cfg.n_values:
-            l = (n + 1) // 2
-            for trial in range(cfg.trials):
-                seed = _trial_seed(cfg.master_seed, family, trial)
-                matrix = generate(_generator_spec(cfg, family, n, seed))
-                for algo in cfg.algorithms:
-                    rows.append(_placement_cell(cfg, matrix, family, trial, seed, l, algo, warmup=True))
-    return ResultTable(_sort_raw(rows), kind="timing")
+    tasks = _checked_trials(cfg, "sweep-time", partial(_placement_cell, warmup=True))
+    return ResultTable(_sort_raw(_run_tasks(tasks)), kind="timing")
 
 
 @dataclass(frozen=True)
@@ -496,43 +496,25 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
     the gamma certificate covers; ``cfg.normalize_rows`` does not apply to
     audits.
     """
-    _check_generation(cfg, "audit", (cfg.n,))
-    _check_grid(("framesense",), cfg.l_values, cfg.n, cfg.k, "audit: ")
-    rows = []
-    for family in cfg.family:
-        for trial in range(cfg.trials):
-            seed = _trial_seed(cfg.master_seed, family, trial)
-            matrix = generate(_generator_spec(cfg, family, cfg.n, seed))
-            for l in cfg.l_values:
-                if not _enumerable(matrix.n, l):
-                    empty = BoundsReport(
-                        matrix.n, matrix.k, l, *([math.nan] * 9)
-                    )
-                    rows.append(
-                        AuditRow(family, trial, seed, empty,
-                                 math.nan, math.nan, math.nan, math.nan,
-                                 None, None,
-                                 f"skipped: C({matrix.n};{l}) exceeds enumeration guard")
-                    )
-                    continue
-                selection = run_placement(matrix, l, PlacementOptions(normalize_rows=False))
-                fp_greedy = frame_potential(matrix, selection.chosen)
-                mse_greedy = mse(matrix, selection.chosen, 1.0)
-                (_, fp_opt), (_, mse_opt), lam_range = _walk_subsets(
-                    matrix, l, fp=True, spectrum=True
-                )
-                delta = _spectrum_delta(matrix, l, lam_range)
-                report = compute_bounds_report(matrix, l, selection.chosen, delta)
-                slack = _rounding_allowance(matrix.k)
-                fp_ok = bool(fp_greedy <= report.gamma * fp_opt * (1.0 + slack))
-                mse_ok = bool(
-                    report.mse_bound_lower * (1.0 - slack)
-                    <= mse_greedy
-                    <= report.mse_bound_upper * (1.0 + slack)
-                )
-                rows.append(
-                    AuditRow(family, trial, seed, report,
-                             fp_greedy, fp_opt, mse_greedy, mse_opt,
-                             fp_ok, mse_ok, "ok")
-                )
-    return AuditTable(rows)
+    return AuditTable(_run_tasks(_checked_trials(cfg, "audit", _audit_cell)))
+
+
+def _audit_cell(cfg, matrix, family, trial, seed, l, algo) -> AuditRow:
+    """``algo``'s selection of ``l`` rows checked against the optima and its certificates."""
+    if not _enumerable(matrix.n, l):
+        nans = {f.name: math.nan for f in fields(BoundsReport) if f.type in ("float", float)}
+        return AuditRow(family, trial, seed, BoundsReport(matrix.n, matrix.k, l, **nans),
+                        math.nan, math.nan, math.nan, math.nan, None, None,
+                        f"skipped: C({matrix.n};{l}) exceeds enumeration guard")
+    selection = run_placement(matrix, l, PlacementOptions(algo, normalize_rows=False))
+    fp_greedy = frame_potential(matrix, selection.chosen)
+    mse_greedy = mse(matrix, selection.chosen, 1.0)
+    (_, fp_opt), (_, mse_opt), lam_range = _walk_subsets(matrix, l, fp=True, spectrum=True)
+    delta = _spectrum_delta(matrix, l, lam_range)
+    report = compute_bounds_report(matrix, l, selection.chosen, delta)
+    slack = _rounding_allowance(matrix.k)
+    fp_ok = bool(fp_greedy <= report.gamma * fp_opt * (1.0 + slack))
+    mse_ok = bool(report.mse_bound_lower * (1.0 - slack) <= mse_greedy
+                  <= report.mse_bound_upper * (1.0 + slack))
+    return AuditRow(family, trial, seed, report, fp_greedy, fp_opt, mse_greedy, mse_opt,
+                    fp_ok, mse_ok, "ok")

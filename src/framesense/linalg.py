@@ -418,24 +418,35 @@ def row_normalize(psi) -> SensingMatrix:
         overflows float64.
     """
     m = as_sensing_matrix(psi)
+    return SensingMatrix(m.entries / _unit_row_norms(m)[:, None])
+
+
+def _unit_row_norms(m: SensingMatrix, rows=slice(None)) -> np.ndarray:
+    """Row norms of ``m``, once each of ``rows`` can be scaled to unit norm.
+
+    ValueError names the first of ``rows`` whose norm is at or below 1e-12
+    or overflows float64.
+    """
     with np.errstate(over="ignore"):
         norms = m.row_norms
-    bad = np.flatnonzero(~((norms > _MIN_ROW_NORM) & (norms < math.inf)))
+    picked = np.arange(m.n)[rows]
+    bad = picked[~((norms[picked] > _MIN_ROW_NORM) & (norms[picked] < math.inf))]
     if bad.size:
         why = "too small" if norms[bad[0]] <= _MIN_ROW_NORM else "too large"
         raise ValueError(f"row {bad[0]} has norm {norms[bad[0]]:.3e}, {why} to normalize")
-    return SensingMatrix(m.entries / norms[:, None])
+    return norms
 
 
 def coherence(psi, i: int, j: int) -> float:
-    """Normalized absolute inner product of rows i and j, clipped to [0, 1]."""
+    """Normalized absolute inner product of rows i and j, clipped to [0, 1].
+
+    Rows i and j follow the rule of :func:`row_normalize`: a norm at or
+    below 1e-12, or one that overflows float64, raises ValueError.
+    """
     m = as_sensing_matrix(psi)
     for name, idx in (("i", i), ("j", j)):
         if not 0 <= _integer(name, idx) < m.n:
             raise IndexError(f"row index {idx} out of range for {m.n} rows")
-    norms = m.row_norms
-    if norms[i] <= _MIN_ROW_NORM or norms[j] <= _MIN_ROW_NORM:
-        bad = i if norms[i] <= _MIN_ROW_NORM else j
-        raise ValueError(f"row {bad} has near-zero norm, coherence undefined")
+    norms = _unit_row_norms(m, [i, j])
     value = abs(float(m.entries[i] @ m.entries[j])) / (float(norms[i]) * float(norms[j]))
     return min(value, 1.0)

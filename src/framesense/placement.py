@@ -504,15 +504,13 @@ def greedy_coherence(psi, num_sensors: int, opts: PlacementOptions | None = None
     row comes from the pair scan framesense uses for its first pair. No
     N x N table is formed: each row's largest coherence against the chosen
     set is kept up to date from the newest pick alone, so each pick costs
-    O(N K) and memory stays O(N K).
+    O(N K) and memory stays O(N K). The unit rows come from
+    :func:`~framesense.linalg.row_normalize`, so a row it refuses raises
+    its ValueError here.
     """
     m = as_sensing_matrix(psi)
     _check_count("coherence", num_sensors, m.shape)
-    norms = m.row_norms
-    bad = np.flatnonzero(norms <= 1e-12)
-    if bad.size:
-        raise ValueError(f"row {int(bad[0])} has near-zero norm, coherence undefined")
-    u = m.entries / norms[:, None]
+    u = row_normalize(m).entries
 
     # coherences lie in [0, 1] and round in absolute terms, hence scale 1.
     # The lowest row in a least coherent pair starts; its first step then

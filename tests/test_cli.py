@@ -234,6 +234,17 @@ class TestSweepTimeCommand:
         assert not (tmp_path / "t_raw.csv").exists()
 
 
+    @pytest.mark.parametrize("command", ["sweep-time", "audit"])
+    def test_threads_flag_refused(self, tmp_path, command):
+        # only sweep-mse runs its trials on worker threads
+        cfg = write_cfg(tmp_path, n=8, k=3, n_values=[8], l_values=[4], trials=1)
+        proc = run_cli(command, "--config", cfg, "--out", str(tmp_path / "t"),
+                       "--threads", "2", check=False)
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --threads 2" in proc.stderr
+        assert not (tmp_path / "t_raw.csv").exists()
+
+
 class TestAuditCommand:
     def test_audit_summary_line(self, tmp_path):
         cfg = write_cfg(tmp_path, family="gaussian", n=8, k=3, l_values=[4],

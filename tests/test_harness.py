@@ -105,14 +105,12 @@ class TestExperimentConfig:
             ExperimentConfig(l_values=())
 
     def test_l_grid_checked_against_dimensions(self):
-        cfg = small_cfg(l_values=(9,))
         with pytest.raises(ValueError, match="framesense"):
-            cfg.check_l_values(10, 3)
+            sweep_mse(small_cfg(l_values=(9,)))
         # without the eliminating greedy the full range is legal
-        cfg2 = small_cfg(l_values=(10,), algorithms=("random",))
-        cfg2.check_l_values(10, 3)
+        sweep_mse(small_cfg(l_values=(10,), algorithms=("random",)))
         with pytest.raises(ValueError):
-            cfg2.check_l_values(9, 3)
+            sweep_mse(small_cfg(n=9, l_values=(10,), algorithms=("random",)))
 
 
 # (algorithm, L) cells outside the algorithm's range on a 10 x 3 matrix;

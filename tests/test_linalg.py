@@ -407,6 +407,19 @@ class TestCoherence:
         with pytest.raises(IndexError):
             coherence(np.eye(2), 0, 2)
 
+    def test_row_normalize_rule(self):
+        # scaling row 2 keeps its direction, but its norm overflows float64
+        # and would read as coherence 0 instead of 0.294
+        psi = generate(GeneratorSpec("gaussian", 8, 3, seed=0)).entries.copy()
+        psi[2] *= 1e200
+        for i, j in ((2, 3), (3, 2)):
+            with pytest.raises(ValueError, match="^row 2 has norm inf, too large to normalize$"):
+                coherence(psi, i, j)
+        with pytest.raises(ValueError, match="^row 0 has norm 0.000e[+]00, too small to normalize$"):
+            coherence([[0.0, 0.0], [1.0, 0.0]], 1, 0)
+        # only rows i and j are checked
+        assert coherence(psi, 0, 3) == coherence(psi[[0, 3]], 0, 1)
+
 
 def _walk_grid():
     # (name, matrix): even row counts for stacked_scaled; the duplicate-row

@@ -452,6 +452,18 @@ class TestGreedyCoherence:
         with pytest.raises(ValueError):
             greedy_coherence(np.eye(3), 1)
 
+    def test_row_normalize_rule(self):
+        # scaling row 2 keeps its direction, but its norm overflows float64;
+        # read as coherence 0, it would be picked second
+        psi = generate(GeneratorSpec("gaussian", 8, 3, seed=0)).entries.copy()
+        assert greedy_coherence(psi, 4).chosen == (0, 1, 4, 3)
+        psi[2] *= 1e200
+        with pytest.raises(ValueError, match="^row 2 has norm inf, too large to normalize$"):
+            greedy_coherence(psi, 4)
+        psi[2] = 0.0
+        with pytest.raises(ValueError, match="^row 2 has norm 0.000e[+]00, too small to normalize$"):
+            greedy_coherence(psi, 4)
+
     def test_matches_naive_reference(self):
         # at 1000 x 10 the start row comes from one of several scan blocks
         assert _PAIR_BLOCK_ENTRIES // 1000 < 999 // 2
