@@ -27,7 +27,7 @@ from .bounds import (
     compute_bounds_report,
 )
 from .linalg import _check_positive, _check_seed, _check_sensor_count, _enumerable, _flag, _integer
-from .linalg import _real, _walk_subsets, as_sensing_matrix, frame_potential, mse
+from .linalg import _mse_fp, _real, _walk_subsets, as_sensing_matrix
 from .matgen import FAMILIES, GeneratorSpec, generate
 from .matio import csv_row, load_matrix
 from .placement import _SENSOR_RANGES, ALGORITHMS, PlacementOptions, run_placement
@@ -66,10 +66,11 @@ class ExperimentConfig:
     single family name or a list to sweep several; ``matrix_csv`` overrides
     generation with a fixed matrix read from disk (its rows then define N
     and K, and the family column reads ``csv``) in ``sweep_mse`` only, and
-    the other runs reject it. ``n_values`` only matters for timing sweeps,
-    ``l_values`` for everything else. Counts must be integers and lists
-    non-empty lists, and no value is cast to the type of its field: one
-    of another type raises ValueError.
+    the other runs reject it; with it, a ``scale``, an ``entry_scale`` other
+    than 1.0 and more than one family are refused. ``n_values`` only
+    matters for timing sweeps, ``l_values`` for everything else. Counts
+    must be integers and lists non-empty lists, and no value is cast to the
+    type of its field: one of another type raises ValueError.
     """
 
     family: str | list = "gaussian"
@@ -372,12 +373,8 @@ def _placement_cell(cfg, matrix, family, trial, seed, l, algo, warmup=False) -> 
     start = time.perf_counter()
     selection = run_placement(matrix, l, opts)
     elapsed = time.perf_counter() - start
-    return RawRow(
-        family, matrix.n, matrix.k, l, algo, trial, seed,
-        mse(matrix, selection.chosen, cfg.sigma2),
-        frame_potential(matrix, selection.chosen),
-        elapsed,
-    )
+    return RawRow(family, matrix.n, matrix.k, l, algo, trial, seed,
+                  *_mse_fp(matrix, selection.chosen, cfg.sigma2), elapsed)
 
 
 def _run_tasks(tasks, threads: int = 1) -> list:
@@ -405,6 +402,13 @@ def sweep_mse(cfg: ExperimentConfig) -> ResultTable:
     if cfg.matrix_csv is None:
         tasks = _checked_trials(cfg, "sweep-mse", _placement_cell)
     else:
+        # the generation settings a fixed matrix would silently ignore
+        for name, unused in (("scale", cfg.scale is not None),
+                             ("entry_scale", cfg.entry_scale != 1.0),
+                             ("family", len(cfg.family) > 1)):
+            if unused:
+                raise ValueError(f"{name} {getattr(cfg, name)!r} does not apply to matrix_csv, "
+                                 "which reads one fixed matrix")
         fixed = as_sensing_matrix(load_matrix(cfg.matrix_csv))
         _check_grid(cfg.algorithms, cfg.l_values, fixed.n, fixed.k)
 
@@ -507,8 +511,7 @@ def _audit_cell(cfg, matrix, family, trial, seed, l, algo) -> AuditRow:
                         math.nan, math.nan, math.nan, math.nan, None, None,
                         f"skipped: C({matrix.n};{l}) exceeds enumeration guard")
     selection = run_placement(matrix, l, PlacementOptions(algo, normalize_rows=False))
-    fp_greedy = frame_potential(matrix, selection.chosen)
-    mse_greedy = mse(matrix, selection.chosen, 1.0)
+    mse_greedy, fp_greedy = _mse_fp(matrix, selection.chosen)
     (_, fp_opt), (_, mse_opt), lam_range = _walk_subsets(matrix, l, fp=True, spectrum=True)
     delta = _spectrum_delta(matrix, l, lam_range)
     report = compute_bounds_report(matrix, l, selection.chosen, delta)

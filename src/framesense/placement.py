@@ -5,9 +5,11 @@ whose removal lowers the frame potential of what remains the most. It never
 builds the N x N table of row inner products: initial candidate scores come
 from the K x K frame operator in O(N K^2), and each elimination downdates
 them with one (N, K) matrix-vector product, so the eliminations cost
-O(N (N - L) K) and memory stays O(N K). Only the search for the first,
-most parallel pair is quadratic, O(N^2 K); it runs over blocks of rows,
-each written into one reused buffer of about 1 MiB.
+O(N (N - L) K) and memory stays O(N K). An elimination writes its gains and
+its products into two reused N-length buffers and finds its row with one
+``argmax`` pass and a tie scan of the rows before it. Only the search for
+the first, most parallel pair is quadratic, O(N^2 K); it runs over blocks
+of rows, each written into one reused buffer of about 1 MiB.
 
 Reference baselines (determinant, error-trace, mutual-information and
 coherence greedies, which share one best-in loop, plus a seeded random picker
@@ -15,10 +17,15 @@ and exhaustive search) share the same Selection record so sweeps can treat
 them interchangeably. The determinant, error-trace and mutual-information
 greedies score every candidate in the eigenbasis of a K x K Gram matrix, one
 ``eigh`` step shared by all three, so each of their steps costs O(N K^2).
-The coherence greedy finds its start row with the same pair scan as the
-main algorithm's first pair, then updates each row's largest coherence
-against the chosen set from the newest pick alone, O(N K) per pick and
-O(N K) memory. No greedy placer forms an N x N array.
+A step's work is: the free rows from a mask of the rows left, one gather
+each of the chosen and the free rows, one ``b.T @ b`` Gram product of the
+chosen block, one ``eigh`` (two for mutual information), one product of the
+free rows with its eigenvectors, and a score over two N-length arrays; at
+K = 30 the ``eigh`` is most of it. The picks go into one preallocated
+index array. The coherence greedy finds its start row with the same pair
+scan as the main algorithm's first pair, then updates each row's largest
+coherence against the chosen set from the newest pick alone, O(N K) per
+pick and O(N K) memory. No greedy placer forms an N x N array.
 
 Every scan follows one tie rule: values within a rounding bound of the best
 count as tied, and the lowest row index among them wins. The main
@@ -246,10 +253,14 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     score, bound = _scores(w, live, diag2)
     fresh = None
 
+    gains = np.empty(n)
+    cross = np.empty(n)
     target = n - num_sensors
     while len(eliminated) < target:
-        gains = 2.0 * score + live
-        top = float(gains.max())
+        np.multiply(score, 2.0, out=gains)
+        gains += live
+        r = int(gains.argmax())
+        top = float(gains[r])
         err = float(bound.max())
         if fresh is None:
             fresh = (top, err)
@@ -258,12 +269,13 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
             score, bound = _scores(w, live, diag2)
             fresh = None
             continue
-        r = _first_best(gains, err)
+        r = _first_best(gains, err, r)
         eliminated.append(r)
         trace.append(float(gains[r]))
         live[r] = -np.inf
         bound[r] = -np.inf
-        score -= (w @ w[r]) ** 2
+        np.matmul(w, w[r], out=cross)
+        score -= np.square(cross, out=cross)
 
     chosen = tuple(int(i) for i in np.flatnonzero(live > -np.inf))
     return Selection(chosen, tuple(eliminated), tuple(trace))
@@ -327,32 +339,39 @@ def _pair_scan(w, value):
     return row_max
 
 
-def _first_best(values, scale) -> int:
-    """Lowest index whose value lies within ``_TIE_RTOL * scale`` of the largest."""
-    return int(np.argmax(values >= values.max() - _TIE_RTOL * scale))
+def _first_best(values, scale, best=None) -> int:
+    """Lowest index whose value lies within ``_TIE_RTOL * scale`` of the largest.
+
+    ``best`` is ``values.argmax()`` when the caller has it. Only the values
+    up to it can tie with a lower index, so one tie scan of those follows
+    one ``argmax`` pass.
+    """
+    best = int(values.argmax()) if best is None else best
+    return int((values[: best + 1] >= values[best] - _TIE_RTOL * scale).argmax())
 
 
 def _best_in(n, num_sensors, objective, minimize=False, start=()) -> Selection:
     """Add rows to ``start``, best first, until ``num_sensors`` are chosen.
 
     ``objective(chosen, free)`` returns the objective the chosen set would
-    reach with each free row (``free`` ascending) and the scale of their
-    rounding; ties go to the lowest index. The trace holds the winning
-    value of each step.
+    reach with each free row and the scale of their rounding; ``chosen`` is
+    an index array in pick order and ``free`` one in ascending order. Ties
+    go to the lowest index. The trace holds the winning value of each step.
     """
-    chosen = list(start)
-    trace = []
+    picks = np.empty(num_sensors, dtype=np.intp)
+    picks[: len(start)] = start
     # a mask, not np.setdiff1d, which imports numpy.ma on first use
-    taken = np.zeros(n, dtype=bool)
-    taken[chosen] = True
-    free = np.flatnonzero(~taken)
-    while len(chosen) < num_sensors:
-        values, scale = objective(chosen, free)
+    left = np.ones(n, dtype=bool)
+    left[picks[: len(start)]] = False
+    trace = []
+    for size in range(len(start), num_sensors):
+        free = left.nonzero()[0]
+        values, scale = objective(picks[:size], free)
         pos = _first_best(-values if minimize else values, scale)
-        chosen.append(int(free[pos]))
+        picks[size] = free[pos]
+        left[free[pos]] = False
         trace.append(float(values[pos]))
-        free = np.delete(free, pos)
-    return Selection(tuple(chosen), tuple(int(i) for i in free), tuple(trace))
+    return Selection(tuple(picks.tolist()), tuple(left.nonzero()[0].tolist()), tuple(trace))
 
 
 def greedy_det(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
@@ -371,7 +390,8 @@ def greedy_det(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     def score(inv, y2):
         q = y2 @ inv
         # q rounds in proportion to |x|^2 max(inv); log1p divides that by 1 + q
-        return np.log1p(q), float(y2.sum(axis=1).max() * inv.max() / (1.0 + q.max()))
+        scale = float(y2.sum(axis=1).max() * inv.max() / (1.0 + q.max()))
+        return np.log1p(q, out=q), scale
 
     return _eigen_best_in("det", psi, num_sensors, score)
 
@@ -391,7 +411,12 @@ def greedy_mse(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
 
     def score(inv, y2):
         total = float(inv.sum())
-        return total - (y2 @ inv**2) / (1.0 + y2 @ inv), total
+        # total - |G^-1 x|^2 / (1 + x^T G^-1 x), in two N-length arrays
+        drop = y2 @ (inv * inv)
+        q = y2 @ inv
+        q += 1.0
+        drop /= q
+        return np.subtract(total, drop, out=drop), total
 
     return _eigen_best_in("mse", psi, num_sensors, score, minimize=True, degree=-2)
 
@@ -421,7 +446,8 @@ def _eigen_best_in(algorithm, psi, num_sensors, score, minimize=False, degree=0)
     shift = _ridge(m, p)
 
     def objective(chosen, free):
-        return score(*_eigen_step(e[chosen].T @ e[chosen], shift, e[free]))
+        b = e.take(chosen, axis=0)
+        return score(*_eigen_step(b.T @ b, shift, e.take(free, axis=0)))
 
     sel = _best_in(m.n, num_sensors, objective, minimize)
     # a trace value past float64 in the rows' own scale reads inf
@@ -438,9 +464,13 @@ def _eigen_step(g, shift, x):
     its entry of ``y2 @ inv``. A LAPACK failure raises ConvergenceError.
     """
     lam, vec = _eigen(g, vectors=True)
-    # directions lost by the package's rank rule weigh exactly 1 / shift
-    lam[lam < RANK_RTOL * lam[-1]] = 0.0
-    return 1.0 / (shift + lam), (x @ vec) ** 2
+    # directions lost by the package's rank rule weigh exactly 1 / shift;
+    # lam ascends, so there are none unless the first is one
+    cut = RANK_RTOL * lam[-1]
+    if lam[0] < cut:
+        lam[lam < cut] = 0.0
+    y2 = x @ vec
+    return 1.0 / (shift + lam), np.square(y2, out=y2)
 
 
 def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
@@ -474,8 +504,9 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
     e = m.entries
 
     def objective(chosen, free):
-        x = e[free]
-        inv, y2 = _eigen_step(e[chosen].T @ e[chosen], s, x)
+        x = e.take(free, axis=0)
+        b = e.take(chosen, axis=0)
+        inv, y2 = _eigen_step(b.T @ b, s, x)
         numer = sigma2 + s * (y2 @ inv)
         inv, y2 = _eigen_step(x.T @ x, s, x)
         q = y2 @ inv
@@ -532,13 +563,12 @@ def random_placement(psi, num_sensors: int, seed: int = 0) -> Selection:
     _check_seed(seed)
     n = m.n
     rng = philox_generator("placement/random", seed)
-    idx = np.arange(n)
-    for t in range(num_sensors):
-        j = int(rng.integers(t, n))
+    idx = list(range(n))
+    # swap t's target is drawn from [t, n); one call draws all of them, in
+    # the order and from the stream of one call per swap
+    for t, j in enumerate(rng.integers(np.arange(num_sensors), n).tolist()):
         idx[t], idx[j] = idx[j], idx[t]
-    chosen = tuple(int(i) for i in np.sort(idx[:num_sensors]))
-    eliminated = tuple(int(i) for i in np.sort(idx[num_sensors:]))
-    return Selection(chosen, eliminated, ())
+    return Selection(tuple(sorted(idx[:num_sensors])), tuple(sorted(idx[num_sensors:])), ())
 
 
 def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
@@ -573,7 +603,8 @@ def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
         m, num_sensors, fp=objective == "fp", spectrum=objective == "mse"
     )
     best_sub, best_val = fp_best if objective == "fp" else mse_best
-    eliminated = tuple(i for i in range(n) if i not in set(best_sub))
+    kept = set(best_sub)
+    eliminated = tuple(i for i in range(n) if i not in kept)
     return Selection(best_sub, eliminated, (best_val,)), best_val
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from framesense import (
     AGG_CSV_HEADER,
+    ALGORITHMS,
     AUDIT_CSV_HEADER,
     BOUNDS_CSV_HEADER,
     BoundsReport,
@@ -33,6 +34,7 @@ from framesense import (
     sweep_timing,
 )
 from framesense.harness import AggRow, AuditRow, RawRow, _trial_seed
+from framesense.linalg import _mse_fp
 from framesense.matio import csv_row
 
 
@@ -134,16 +136,23 @@ class TestSweepMse:
         assert keys == sorted(keys)
 
     def test_rows_are_regenerable(self):
-        cfg = small_cfg()
-        table = sweep_mse(cfg)
-        row = table.raw[-1]
-        matrix = generate(GeneratorSpec("gaussian", row.n, row.k, seed=row.seed))
-        opts = PlacementOptions(
-            algorithm=row.algorithm, normalize_rows=True, seed=row.seed, sigma2=1.0
-        )
-        sel = run_placement(matrix, row.l, opts)
-        assert mse(matrix, sel.chosen, 1.0) == row.mse
-        assert frame_potential(matrix, sel.chosen) == row.fp
+        # every row of every algorithm, at L < K, L = K and L > K, rows
+        # normalized or not: its mse and fp are those of its replayed
+        # selection, bit for bit, though a sweep takes both from one Gram
+        grids = [((2,), ("mi", "coherence", "random")), ((3, 6), ALGORITHMS)]
+        for normalize_rows in (True, False):
+            rows = []
+            for l_values, algorithms in grids:
+                rows += sweep_mse(small_cfg(l_values=l_values, algorithms=algorithms, trials=2,
+                                            sigma2=0.3, normalize_rows=normalize_rows)).raw
+            assert len(rows) == 2 * (3 + 2 * len(ALGORITHMS))
+            for row in rows:
+                matrix = generate(GeneratorSpec("gaussian", row.n, row.k, seed=row.seed))
+                opts = PlacementOptions(algorithm=row.algorithm, normalize_rows=normalize_rows,
+                                        seed=row.seed, sigma2=0.3)
+                sel = run_placement(matrix, row.l, opts)
+                assert mse(matrix, sel.chosen, 0.3) == row.mse
+                assert frame_potential(matrix, sel.chosen) == row.fp
 
     def test_thread_count_does_not_change_results(self):
         one = sweep_mse(small_cfg(threads=1))
@@ -172,6 +181,20 @@ class TestSweepMse:
         # same matrix every trial, so framesense rows repeat exactly
         fs = [r for r in table.raw if r.algorithm == "framesense"]
         assert fs[0].mse == fs[1].mse
+
+    @pytest.mark.parametrize("field,value", [
+        ("scale", 2.0), ("entry_scale", 5.0), ("family", ["bernoulli", "dct_frame"]),
+    ], ids=["scale", "entry_scale", "family"])
+    def test_fixed_matrix_refuses_generation_setting(self, tmp_path, monkeypatch, field, value):
+        # a matrix_csv sweep generates nothing, so it would ignore these
+        path = tmp_path / "m.csv"
+        save_matrix(path, np.random.default_rng(44).normal(size=(9, 3)))
+        calls = record_placements(monkeypatch)
+        cfg = small_cfg(matrix_csv=str(path), l_values=(4,), trials=1, algorithms=("random",),
+                        **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} .+ does not apply to matrix_csv"):
+            sweep_mse(cfg)
+        assert calls == []
 
     def test_bad_l_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -425,9 +448,10 @@ class TestOracleAudit:
 
     def test_one_gram_and_one_eigen_call_per_subset(self, monkeypatch):
         # the walk forms each subset's Gram product inline and decomposes it
-        # with one eigvalsh call; the checked gram and sym_eigenvalues run
-        # only for the greedy selection's MSE and its MSE envelope. Counted
-        # at every module that binds them, as a tracer would see them.
+        # with one eigvalsh call; the greedy selection's MSE and FP take one
+        # more from one gather and Gram, and the checked gram and
+        # sym_eigenvalues run only for its MSE envelope. Counted at every
+        # module that binds them, as a tracer would see them.
         import framesense.bounds
         import framesense.harness
         import framesense.linalg
@@ -451,7 +475,7 @@ class TestOracleAudit:
                     monkeypatch.setattr(mod, name, counted)
         monkeypatch.setattr(np.linalg, "eigvalsh", count(np.linalg, "eigvalsh")[1])
         oracle_audit(small_cfg(n=10, k=3, l_values=(5,), trials=1, normalize_rows=False))
-        assert calls == {"gram": 2, "sym_eigenvalues": 2, "eigvalsh": math.comb(10, 5) + 2}
+        assert calls == {"gram": 1, "sym_eigenvalues": 1, "eigvalsh": math.comb(10, 5) + 2}
 
     def test_every_walked_cell_reports_its_delta(self, monkeypatch):
         # one guard decides both whether a cell walks and whether it has a
@@ -513,7 +537,12 @@ class TestOracleAudit:
         row = oracle_audit(cfg).rows[0]
         lower, upper = row.report.mse_bound_lower, row.report.mse_bound_upper
         assert row.mse_within_bounds and upper - lower <= 1e-15 * upper
-        monkeypatch.setattr(framesense.harness, "mse", lambda *a: mse(*a) * (1 + 1e-9))
+
+        def nudged(*args):
+            value, fp = _mse_fp(*args)
+            return value * (1 + 1e-9), fp
+
+        monkeypatch.setattr(framesense.harness, "_mse_fp", nudged)
         assert oracle_audit(cfg).rows[0].mse_within_bounds is False
 
     def test_paper_gamma_misses_after_the_first_pair(self):

@@ -677,6 +677,20 @@ class TestRandomPlacement:
         sel = random_placement(np.eye(8), 3, seed=77)
         assert sorted(sel.chosen + sel.eliminated) == list(range(8))
 
+    @pytest.mark.parametrize("n,l,seed,chosen", [
+        (10, 1, 0, (3,)),
+        (9, 8, 14, (0, 1, 2, 3, 4, 6, 7, 8)),
+        (12, 5, 7, (1, 2, 3, 8, 9)),
+        (40, 17, 2**63 + 5, (0, 2, 6, 7, 9, 16, 19, 23, 24, 26, 28, 29, 30, 31, 35, 37, 39)),
+        (6, 6, 3, (0, 1, 2, 3, 4, 5)),
+    ])
+    def test_pinned_draws(self, n, l, seed, chosen):
+        # recorded from one draw per swap; drawing the swap targets in
+        # another order or from another stream changes these rows
+        sel = random_placement(np.ones((n, 2)), l, seed=seed)
+        assert sel.chosen == chosen
+        assert sel.eliminated == tuple(sorted(set(range(n)) - set(chosen)))
+
 
 class TestExhaustiveOracle:
     def test_duplicate_basis_rows_lexicographic_tie(self):
