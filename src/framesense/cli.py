@@ -17,7 +17,7 @@ from dataclasses import replace
 
 # The harness, and the bounds and thread pool it pulls in, is imported only
 # by the commands that run it, so a ``place`` process never loads them.
-from .linalg import ConvergenceError, _mse_fp, as_sensing_matrix
+from .linalg import ConvergenceError, as_sensing_matrix, frame_potential, mse
 from .matgen import FAMILIES, GeneratorSpec, generate
 from .matio import FLOAT_FMT, load_matrix, save_matrix
 from .placement import ALGORITHMS, CovarianceConditioningError, PlacementOptions, run_placement
@@ -93,10 +93,9 @@ def _cmd_place(args) -> int:
     )
     selection = run_placement(matrix, args.sensors, opts)
     chosen = sorted(selection.chosen)
-    mse, fp = _mse_fp(matrix, chosen, args.sigma2)
     print("chosen:", " ".join(str(i + 1) for i in chosen))
-    print("fp:", FLOAT_FMT % fp)
-    print("mse:", FLOAT_FMT % mse)
+    print("fp:", FLOAT_FMT % frame_potential(matrix, chosen))
+    print("mse:", FLOAT_FMT % mse(matrix, chosen, args.sigma2))
     return 0
 
 

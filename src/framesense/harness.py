@@ -27,7 +27,7 @@ from .bounds import (
     compute_bounds_report,
 )
 from .linalg import _check_positive, _check_seed, _check_sensor_count, _enumerable, _flag, _integer
-from .linalg import _mse_fp, _real, _walk_subsets, as_sensing_matrix
+from .linalg import _real, _walk_subsets, as_sensing_matrix, frame_potential, mse
 from .matgen import FAMILIES, GeneratorSpec, generate
 from .matio import csv_row, load_matrix
 from .placement import _SENSOR_RANGES, ALGORITHMS, PlacementOptions, run_placement
@@ -373,8 +373,12 @@ def _placement_cell(cfg, matrix, family, trial, seed, l, algo, warmup=False) -> 
     start = time.perf_counter()
     selection = run_placement(matrix, l, opts)
     elapsed = time.perf_counter() - start
-    return RawRow(family, matrix.n, matrix.k, l, algo, trial, seed,
-                  *_mse_fp(matrix, selection.chosen, cfg.sigma2), elapsed)
+    return RawRow(
+        family, matrix.n, matrix.k, l, algo, trial, seed,
+        mse(matrix, selection.chosen, cfg.sigma2),
+        frame_potential(matrix, selection.chosen),
+        elapsed,
+    )
 
 
 def _run_tasks(tasks, threads: int = 1) -> list:
@@ -511,7 +515,8 @@ def _audit_cell(cfg, matrix, family, trial, seed, l, algo) -> AuditRow:
                         math.nan, math.nan, math.nan, math.nan, None, None,
                         f"skipped: C({matrix.n};{l}) exceeds enumeration guard")
     selection = run_placement(matrix, l, PlacementOptions(algo, normalize_rows=False))
-    mse_greedy, fp_greedy = _mse_fp(matrix, selection.chosen)
+    fp_greedy = frame_potential(matrix, selection.chosen)
+    mse_greedy = mse(matrix, selection.chosen, 1.0)
     (_, fp_opt), (_, mse_opt), lam_range = _walk_subsets(matrix, l, fp=True, spectrum=True)
     delta = _spectrum_delta(matrix, l, lam_range)
     report = compute_bounds_report(matrix, l, selection.chosen, delta)

@@ -234,23 +234,6 @@ def mse(psi, sel, sigma2=1.0) -> float:
     return _check_positive(sigma2) * _unit_mse(sym_eigenvalues(gram(psi, sel)))
 
 
-def _mse_fp(psi, sel, sigma2=1.0) -> tuple[float, float]:
-    """``mse(psi, sel, sigma2)`` and ``frame_potential(psi, sel)``, bit for bit.
-
-    The evaluation of every placed selection a sweep, an audit or ``place``
-    reports: the rows are gathered, checked and turned into one K x K Gram
-    matrix once for both values. The finite check of
-    :func:`sym_eigenvalues` stays; its symmetry check cannot fail on
-    ``block.T @ block``.
-    """
-    m = as_sensing_matrix(psi)
-    block = m.entries[_selection_indices(sel, m.n)]
-    g = block.T @ block
-    if not np.isfinite(g).all():
-        raise ValueError("matrix entries must all be finite")
-    return _check_positive(sigma2) * _unit_mse(_eigen(g)[::-1]), _frame_potential(block, g)
-
-
 def _integer(name: str, value, low: int | None = None) -> int:
     """``value`` as an int; ValueError, naming it, unless it is an integer and not a bool.
 

@@ -564,8 +564,9 @@ def random_placement(psi, num_sensors: int, seed: int = 0) -> Selection:
     n = m.n
     rng = philox_generator("placement/random", seed)
     idx = list(range(n))
-    # swap t's target is drawn from [t, n); one call draws all of them, in
-    # the order and from the stream of one call per swap
+    # swap t's target is drawn from [t, n), all in one call. That this gives
+    # the draws of one call per swap is observed numpy behaviour, not an API
+    # promise; test_pinned_draws holds the picks it gives
     for t, j in enumerate(rng.integers(np.arange(num_sensors), n).tolist()):
         idx[t], idx[j] = idx[j], idx[t]
     return Selection(tuple(sorted(idx[:num_sensors])), tuple(sorted(idx[num_sensors:])), ())

@@ -34,7 +34,6 @@ from framesense import (
     sweep_timing,
 )
 from framesense.harness import AggRow, AuditRow, RawRow, _trial_seed
-from framesense.linalg import _mse_fp
 from framesense.matio import csv_row
 
 
@@ -138,7 +137,7 @@ class TestSweepMse:
     def test_rows_are_regenerable(self):
         # every row of every algorithm, at L < K, L = K and L > K, rows
         # normalized or not: its mse and fp are those of its replayed
-        # selection, bit for bit, though a sweep takes both from one Gram
+        # selection, bit for bit
         grids = [((2,), ("mi", "coherence", "random")), ((3, 6), ALGORITHMS)]
         for normalize_rows in (True, False):
             rows = []
@@ -448,10 +447,9 @@ class TestOracleAudit:
 
     def test_one_gram_and_one_eigen_call_per_subset(self, monkeypatch):
         # the walk forms each subset's Gram product inline and decomposes it
-        # with one eigvalsh call; the greedy selection's MSE and FP take one
-        # more from one gather and Gram, and the checked gram and
-        # sym_eigenvalues run only for its MSE envelope. Counted at every
-        # module that binds them, as a tracer would see them.
+        # with one eigvalsh call; the checked gram and sym_eigenvalues run
+        # only for the greedy selection's MSE and its MSE envelope. Counted
+        # at every module that binds them, as a tracer would see them.
         import framesense.bounds
         import framesense.harness
         import framesense.linalg
@@ -475,7 +473,7 @@ class TestOracleAudit:
                     monkeypatch.setattr(mod, name, counted)
         monkeypatch.setattr(np.linalg, "eigvalsh", count(np.linalg, "eigvalsh")[1])
         oracle_audit(small_cfg(n=10, k=3, l_values=(5,), trials=1, normalize_rows=False))
-        assert calls == {"gram": 1, "sym_eigenvalues": 1, "eigvalsh": math.comb(10, 5) + 2}
+        assert calls == {"gram": 2, "sym_eigenvalues": 2, "eigvalsh": math.comb(10, 5) + 2}
 
     def test_every_walked_cell_reports_its_delta(self, monkeypatch):
         # one guard decides both whether a cell walks and whether it has a
@@ -537,12 +535,7 @@ class TestOracleAudit:
         row = oracle_audit(cfg).rows[0]
         lower, upper = row.report.mse_bound_lower, row.report.mse_bound_upper
         assert row.mse_within_bounds and upper - lower <= 1e-15 * upper
-
-        def nudged(*args):
-            value, fp = _mse_fp(*args)
-            return value * (1 + 1e-9), fp
-
-        monkeypatch.setattr(framesense.harness, "_mse_fp", nudged)
+        monkeypatch.setattr(framesense.harness, "mse", lambda *a: mse(*a) * (1 + 1e-9))
         assert oracle_audit(cfg).rows[0].mse_within_bounds is False
 
     def test_paper_gamma_misses_after_the_first_pair(self):
