@@ -22,6 +22,7 @@ from .linalg import (
     _integer,
     _rank_lost,
     _real,
+    _selection_indices,
     _walk_subsets,
     as_sensing_matrix,
     frame_potential,
@@ -313,7 +314,9 @@ def compute_bounds_report(psi, num_sensors: int, sel, delta: float | None = None
     """Assemble a :class:`BoundsReport` for one instance.
 
     ``sel`` is the selection whose MSE envelope is reported, normally the
-    greedy output at size ``num_sensors``. ``delta`` is reported as given, so
+    greedy output at size ``num_sensors``; one of another size is refused
+    with ValueError, as the energies and gamma of the report are those of
+    ``num_sensors`` rows. ``delta`` is reported as given, so
     a caller that has already walked the subsets passes what it found (NaN
     for none); ``None`` runs :func:`delta_bound` when within the subset
     guard and gives NaN otherwise. ``eta`` is NaN whenever its bound would be
@@ -321,6 +324,9 @@ def compute_bounds_report(psi, num_sensors: int, sel, delta: float | None = None
     """
     m = as_sensing_matrix(psi)
     l_min, l_max, l_mean = l_min_max(m, num_sensors)
+    size = len(_selection_indices(sel, m.n))
+    if size != num_sensors:
+        raise ValueError(f"sel holds {size} rows, but the report is for L = {num_sensors}")
     gamma = fp_approx_factor(m, num_sensors)
     d = l_mean / m.k
     if delta is None:

@@ -67,10 +67,12 @@ class ExperimentConfig:
     generation with a fixed matrix read from disk (its rows then define N
     and K, and the family column reads ``csv``) in ``sweep_mse`` only, and
     the other runs reject it; with it, a ``scale``, an ``entry_scale`` other
-    than 1.0 and more than one family are refused. ``n_values`` only
-    matters for timing sweeps, ``l_values`` for everything else. Counts
-    must be integers and lists non-empty lists, and no value is cast to the
-    type of its field: one of another type raises ValueError.
+    than 1.0 and more than one family are refused. ``threads`` other than
+    1 is likewise refused outside ``sweep_mse``. ``n_values`` only matters
+    for timing sweeps, ``l_values`` for everything else. Counts must be
+    integers and lists non-empty lists without repeated entries, and no
+    value is cast to the type of its field: one of another type raises
+    ValueError.
     """
 
     family: str | list = "gaussian"
@@ -91,17 +93,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.family, str):
             self.family = [self.family]
-        self.family = list(_listed("family", self.family))
-        for fam in self.family:
-            if fam not in FAMILIES:
-                raise ValueError(f"unknown family {fam!r}, expected one of {FAMILIES}")
+        self.family = list(_listed("family", self.family, FAMILIES))
         for name in ("l_values", "n_values"):
             values = _listed(name, getattr(self, name))
             setattr(self, name, tuple(_integer(f"{name} entry", v) for v in values))
-        self.algorithms = _listed("algorithms", self.algorithms)
-        for algo in self.algorithms:
-            if algo not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {algo!r}, expected one of {ALGORITHMS}")
+        self.algorithms = _listed("algorithms", self.algorithms, ALGORITHMS)
         for name, low in (("n", None), ("k", None), ("trials", 1), ("threads", 1)):
             _integer(name, getattr(self, name), low)
         _check_seed(self.master_seed, "master_seed")
@@ -125,10 +121,20 @@ class ExperimentConfig:
         return cls(**data)
 
 
-def _listed(name: str, value) -> tuple:
-    """``value`` as a tuple; ValueError, naming it, unless it is a non-empty list."""
+def _listed(name: str, value, choices=None) -> tuple:
+    """``value`` as a tuple; ValueError, naming it, unless it is a non-empty list.
+
+    An entry outside ``choices``, when given, is refused, and so is a
+    repeated entry: it would run the same cells again and count them as
+    more trials.
+    """
     if not isinstance(value, (list, tuple)) or not value:
         raise ValueError(f"{name} must be a non-empty list, got {value!r}")
+    for pos, entry in enumerate(value):
+        if choices is not None and entry not in choices:
+            raise ValueError(f"{name} entry {entry!r} is unknown, expected one of {choices}")
+        if entry in value[:pos]:
+            raise ValueError(f"{name} repeats {entry!r}; each entry may appear once")
     return tuple(value)
 
 
@@ -317,30 +323,48 @@ def _generator_spec(cfg: ExperimentConfig, family: str, n: int, seed: int = 0) -
 
 
 def _checked_trials(cfg: ExperimentConfig, command: str, run_cell=None) -> list:
-    """Check a generated-matrix run before its first matrix; one task per trial.
+    """Check a run before its first placement; one task per trial.
 
-    The one up-front check of ``sweep-mse``, ``sweep-time``, ``audit`` and
-    ``matgen``. It refuses ``matrix_csv``, which only ``sweep-mse`` reads,
-    on a path of its own, and a ``scale`` that no family uses. It builds
-    every family's recipe at every N of the run (``n``, or each
-    ``n_values`` entry for ``sweep-time``), so a setting that
-    :class:`GeneratorSpec` refuses fails here and not partway through.
+    The one place that turns a config into trials, for ``sweep-mse``,
+    ``sweep-time``, ``audit`` and ``matgen``. It refuses ``matrix_csv`` and
+    a ``threads`` other than 1 outside ``sweep-mse``, the one run that reads
+    them. With ``matrix_csv`` it refuses the generation settings a fixed
+    matrix would ignore (a ``scale``, an ``entry_scale`` other than 1.0,
+    more than one family) and loads the matrix once; its rows define N and
+    K, and its family reads ``csv``. Otherwise it refuses a ``scale`` that
+    no family uses and builds every family's recipe at every N of the run
+    (``n``, or each ``n_values`` entry for ``sweep-time``), so a setting
+    that :class:`GeneratorSpec` refuses fails here and not partway through.
     Then it checks every (L, algorithm) cell the command runs at each N:
     a timing sweep runs L = ceil(N / 2), an audit certifies framesense,
     and ``matgen`` runs none.
 
     Returns one task per (family, N, trial), in that order. Each derives
-    its trial's seed, generates the matrix and returns
-    ``run_cell(cfg, matrix, family, trial, seed, l, algo)`` for each cell.
+    its trial's seed, generates the matrix (or takes the fixed one) and
+    returns ``run_cell(cfg, matrix, family, trial, seed, l, algo)`` for
+    each cell.
     """
+    for name, given in (("matrix_csv", cfg.matrix_csv is not None), ("threads", cfg.threads != 1)):
+        if given and command != "sweep-mse":
+            raise ValueError(f"{name} applies to sweep-mse only, not to {command}")
+    fixed = None
     if cfg.matrix_csv is not None:
-        raise ValueError(f"matrix_csv applies to sweep-mse only, not to {command}")
-    if cfg.scale is not None and "stacked_scaled" not in cfg.family:
-        raise ValueError(f"scale only applies to stacked_scaled, got families {cfg.family}")
-    n_values = cfg.n_values if command == "sweep-time" else (cfg.n,)
-    for n in n_values:
-        for family in cfg.family:
-            _generator_spec(cfg, family, n)
+        # the generation settings a fixed matrix would silently ignore
+        for name, given in (("scale", cfg.scale is not None), ("entry_scale", cfg.entry_scale != 1.0),
+                            ("family", len(cfg.family) > 1)):
+            if given:
+                raise ValueError(f"{name} {getattr(cfg, name)!r} does not apply to matrix_csv, "
+                                 "which reads one fixed matrix")
+        fixed = as_sensing_matrix(load_matrix(cfg.matrix_csv))
+        families, n_values, k = ("csv",), (fixed.n,), fixed.k
+    else:
+        if cfg.scale is not None and "stacked_scaled" not in cfg.family:
+            raise ValueError(f"scale only applies to stacked_scaled, got families {cfg.family}")
+        families, k = cfg.family, cfg.k
+        n_values = cfg.n_values if command == "sweep-time" else (cfg.n,)
+        for n in n_values:
+            for family in families:
+                _generator_spec(cfg, family, n)
     cells = {}
     for n in n_values:
         where, l_values, algorithms = {
@@ -349,16 +373,16 @@ def _checked_trials(cfg: ExperimentConfig, command: str, run_cell=None) -> list:
             "audit": ("audit: ", cfg.l_values, ("framesense",)),
             "matgen": ("", (), ()),
         }[command]
-        _check_grid(algorithms, l_values, n, cfg.k, where)
+        _check_grid(algorithms, l_values, n, k, where)
         cells[n] = [(l, algo) for l in l_values for algo in algorithms]
 
     def task(family, n, trial):
         seed = _trial_seed(cfg.master_seed, family, trial)
-        matrix = generate(_generator_spec(cfg, family, n, seed))
+        matrix = generate(_generator_spec(cfg, family, n, seed)) if fixed is None else fixed
         return [run_cell(cfg, matrix, family, trial, seed, l, algo) for l, algo in cells[n]]
 
     return [partial(task, family, n, trial)
-            for family in cfg.family for n in n_values for trial in range(cfg.trials)]
+            for family in families for n in n_values for trial in range(cfg.trials)]
 
 
 def _placement_cell(cfg, matrix, family, trial, seed, l, algo, warmup=False) -> RawRow:
@@ -399,36 +423,19 @@ def _sort_raw(rows: list) -> list:
 def sweep_mse(cfg: ExperimentConfig) -> ResultTable:
     """Reconstruction error of each algorithm across a grid of sensor counts.
 
-    One matrix per (family, trial), regenerated from a derived seed; every
-    (L, algorithm) cell runs on that same matrix. Unbounded MSE cells are
-    recorded as infinity rather than aborting the sweep.
+    One matrix per (family, trial), regenerated from a derived seed, or the
+    one ``matrix_csv`` matrix for every trial; every (L, algorithm) cell of
+    a trial runs on that same matrix. Unbounded MSE cells are recorded as
+    infinity rather than aborting the sweep.
     """
-    if cfg.matrix_csv is None:
-        tasks = _checked_trials(cfg, "sweep-mse", _placement_cell)
-    else:
-        # the generation settings a fixed matrix would silently ignore
-        for name, unused in (("scale", cfg.scale is not None),
-                             ("entry_scale", cfg.entry_scale != 1.0),
-                             ("family", len(cfg.family) > 1)):
-            if unused:
-                raise ValueError(f"{name} {getattr(cfg, name)!r} does not apply to matrix_csv, "
-                                 "which reads one fixed matrix")
-        fixed = as_sensing_matrix(load_matrix(cfg.matrix_csv))
-        _check_grid(cfg.algorithms, cfg.l_values, fixed.n, fixed.k)
-
-        def task(trial):
-            seed = _trial_seed(cfg.master_seed, "csv", trial)
-            return [_placement_cell(cfg, fixed, "csv", trial, seed, l, algo)
-                    for l in cfg.l_values for algo in cfg.algorithms]
-
-        tasks = [partial(task, trial) for trial in range(cfg.trials)]
+    tasks = _checked_trials(cfg, "sweep-mse", _placement_cell)
     return ResultTable(_sort_raw(_run_tasks(tasks, cfg.threads)), kind="mse")
 
 
 def sweep_timing(cfg: ExperimentConfig) -> ResultTable:
     """Placement wall time across matrix sizes, L = ceil(N / 2).
 
-    Runs strictly single-worker regardless of ``cfg.threads``. Each timed
+    Runs single-worker and refuses a ``cfg.threads`` other than 1. Each timed
     cell runs once after one untimed warm-up; timing covers only the
     placement call, never matrix generation, evaluation, or I/O.
     """

@@ -33,9 +33,9 @@ class GeneratorSpec:
     """Recipe for one test matrix.
 
     ``scale`` is the duplicate-block factor used only by ``stacked_scaled``
-    and must exceed 1 there. ``entry_scale`` multiplies raw Gaussian draws;
-    families that renormalize rows or columns, or that fix entries to a
-    lattice, ignore it.
+    and must exceed 1 there. ``entry_scale`` multiplies the raw Gaussian
+    draws of ``gaussian`` and ``stacked_scaled``; the other families, which
+    renormalize rows or columns or fix entries to a lattice, ignore it.
     """
 
     family: str
@@ -80,8 +80,7 @@ def _box_muller(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def _gaussian_block(spec: GeneratorSpec, n: int, k: int) -> np.ndarray:
     rng = philox_generator(f"matgen/{spec.family}", spec.seed, spec.n, spec.k)
-    block = _box_muller(rng, n * k).reshape(n, k)
-    return block * spec.entry_scale
+    return _box_muller(rng, n * k).reshape(n, k)
 
 
 def _mgs_columns(a: np.ndarray) -> np.ndarray:
@@ -113,7 +112,7 @@ def generate(spec: GeneratorSpec) -> SensingMatrix:
     """
     family = spec.family
     if family == "gaussian":
-        return SensingMatrix(_gaussian_block(spec, spec.n, spec.k))
+        return SensingMatrix(_gaussian_block(spec, spec.n, spec.k) * spec.entry_scale)
     if family == "gaussian_row_normalized":
         return row_normalize(_gaussian_block(spec, spec.n, spec.k))
     if family == "random_tight_frame":
@@ -125,6 +124,6 @@ def generate(spec: GeneratorSpec) -> SensingMatrix:
     if family == "dct_frame":
         return SensingMatrix(_dct_rows(spec.n, spec.k))
     if family == "stacked_scaled":
-        half = _gaussian_block(spec, spec.n // 2, spec.k)
+        half = _gaussian_block(spec, spec.n // 2, spec.k) * spec.entry_scale
         return SensingMatrix(np.vstack([half, spec.scale * half]))
     raise AssertionError(f"unhandled family {family!r}")

@@ -64,10 +64,10 @@ __all__ = [
 # tracer's timing wrapper, a test double) is the one that runs.
 _PLACERS = {
     "framesense": lambda psi, l, opts: framesense(psi, l, opts),
-    "det": lambda psi, l, opts: greedy_det(psi, l, opts),
-    "mse": lambda psi, l, opts: greedy_mse(psi, l, opts),
+    "det": lambda psi, l, opts: greedy_det(psi, l),
+    "mse": lambda psi, l, opts: greedy_mse(psi, l),
     "mi": lambda psi, l, opts: greedy_mi(psi, l, opts),
-    "coherence": lambda psi, l, opts: greedy_coherence(psi, l, opts),
+    "coherence": lambda psi, l, opts: greedy_coherence(psi, l),
     "random": lambda psi, l, opts: random_placement(psi, l, opts.seed),
 }
 
@@ -374,7 +374,7 @@ def _best_in(n, num_sensors, objective, minimize=False, start=()) -> Selection:
     return Selection(tuple(picks.tolist()), tuple(left.nonzero()[0].tolist()), tuple(trace))
 
 
-def greedy_det(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
+def greedy_det(psi, num_sensors: int) -> Selection:
     """Best-in greedy maximizing the ridged log determinant of the Gram matrix.
 
     Adding row x to Gram matrix G raises that log determinant by
@@ -396,7 +396,7 @@ def greedy_det(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     return _eigen_best_in("det", psi, num_sensors, score)
 
 
-def greedy_mse(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
+def greedy_mse(psi, num_sensors: int) -> Selection:
     """Best-in greedy minimizing the trace of the ridged inverse Gram matrix.
 
     Adding row x to Gram matrix G lowers that trace by
@@ -527,7 +527,7 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
         raise CovarianceConditioningError(f"conditioning failed: {exc}") from exc
 
 
-def greedy_coherence(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:
+def greedy_coherence(psi, num_sensors: int) -> Selection:
     """Best-in greedy keeping the worst pairwise coherence of the chosen set low.
 
     Starts from the pair with the smallest coherence, then adds the row

@@ -346,6 +346,13 @@ class TestBoundsReport:
         assert skipped.gamma == enumerated.gamma
         assert skipped.mse_bound_upper == enumerated.mse_bound_upper
 
+    @pytest.mark.parametrize("sel", [[0, 1, 2, 3], [0, 1, 2, 3, 4, 5, 6]])
+    def test_selection_of_another_size_refused(self, sel):
+        # the envelope of a 4-row selection with the energies of L = 6 certifies nothing
+        psi = np.random.default_rng(36).normal(size=(10, 3))
+        with pytest.raises(ValueError, match=f"^sel holds {len(sel)} rows, but the report is for L = 6$"):
+            compute_bounds_report(psi, 6, sel)
+
     def test_delta_nan_when_enumeration_too_large(self):
         # past the enumeration guard the exhaustive oracles share
         rng = np.random.default_rng(34)

@@ -300,6 +300,15 @@ class TestMatgenCommand:
                        check=False)
         assert proc.returncode == 2
 
+    def test_rejects_threads(self, tmp_path):
+        # matgen writes one matrix and has no workers to run
+        cfg = write_cfg(tmp_path, family="gaussian", n=6, k=2, threads=2)
+        proc = run_cli("matgen", "--config", cfg, "--out", str(tmp_path / "m"),
+                       check=False)
+        assert proc.returncode == 2
+        assert "threads applies to sweep-mse only, not to matgen" in proc.stderr
+        assert not (tmp_path / "m.csv").exists()
+
 
 def _declared_entry_point():
     """``(module, attr)`` of ``[project.scripts].framesense`` in pyproject.toml."""

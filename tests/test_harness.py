@@ -105,6 +105,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(l_values=())
 
+    @pytest.mark.parametrize("field,value", [
+        ("family", ["gaussian", "bernoulli", "gaussian"]),
+        ("l_values", (4, 4)),
+        ("n_values", (60, 80, 60)),
+        ("algorithms", ("det", "random", "det")),
+    ], ids=["family", "l_values", "n_values", "algorithms"])
+    def test_repeated_entry_refused(self, field, value):
+        # a repeat would run its cells again and count them as more trials
+        with pytest.raises(ValueError, match=f"^{field} repeats "):
+            ExperimentConfig(n=10, k=3, trials=2, **{field: value})
+
     def test_l_grid_checked_against_dimensions(self):
         with pytest.raises(ValueError, match="framesense"):
             sweep_mse(small_cfg(l_values=(9,)))
@@ -153,15 +164,21 @@ class TestSweepMse:
                 assert mse(matrix, sel.chosen, 0.3) == row.mse
                 assert frame_potential(matrix, sel.chosen) == row.fp
 
-    def test_thread_count_does_not_change_results(self):
-        one = sweep_mse(small_cfg(threads=1))
-        four = sweep_mse(small_cfg(threads=4))
+    def test_thread_count_does_not_change_results(self, tmp_path):
+        # generated matrices, and one fixed matrix read from disk
+        path = tmp_path / "m.csv"
+        save_matrix(path, np.random.default_rng(44).normal(size=(9, 3)))
 
         def strip_timing(rows):
             return [(r.family, r.n, r.k, r.l, r.algorithm, r.trial, r.seed, r.mse, r.fp)
                     for r in rows]
 
-        assert strip_timing(one.raw) == strip_timing(four.raw)
+        for family, overrides in (("gaussian", {}),
+                                  ("csv", {"matrix_csv": str(path), "l_values": (4,)})):
+            one = sweep_mse(small_cfg(threads=1, **overrides))
+            four = sweep_mse(small_cfg(threads=4, **overrides))
+            assert {r.family for r in one.raw} == {family}
+            assert strip_timing(one.raw) == strip_timing(four.raw)
 
     def test_trial_seeds_differ_per_family_and_trial(self):
         assert _trial_seed(1, "gaussian", 0) != _trial_seed(1, "gaussian", 1)
@@ -250,6 +267,15 @@ class TestGenerationCheck:
         calls = record_placements(monkeypatch)
         cfg = small_cfg(matrix_csv="m.csv", l_values=(4,), n_values=(8,))
         with pytest.raises(ValueError, match=f"^matrix_csv applies to sweep-mse only, not to {command}$"):
+            run(cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("run,command", [(sweep_timing, "sweep-time"), (oracle_audit, "audit")])
+    def test_threads_refused(self, monkeypatch, run, command):
+        # these runs are single-worker, so a threads setting would be ignored
+        calls = record_placements(monkeypatch)
+        cfg = small_cfg(threads=2, l_values=(4,), n_values=(8,))
+        with pytest.raises(ValueError, match=f"^threads applies to sweep-mse only, not to {command}$"):
             run(cfg)
         assert calls == []
 

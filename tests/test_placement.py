@@ -1,5 +1,6 @@
 """Placement algorithms: the frame-potential greedy, baselines, oracles."""
 
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -506,6 +507,12 @@ class TestGreedyCoherence:
             tracemalloc.stop()
         # one 2000 x 2000 float64 coherence table alone would take 30.5 MiB
         assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("placer", [greedy_det, greedy_mse, greedy_coherence])
+def test_options_free_placers_take_no_options(placer):
+    # their objectives read no PlacementOptions field, so they take none
+    assert list(inspect.signature(placer).parameters) == ["psi", "num_sensors"]
 
 
 class TestBestInTies:
