@@ -121,9 +121,9 @@ def _cmd_matgen(args) -> int:
     from .harness import ExperimentConfig, _checked_trials, _generator_spec
 
     cfg = ExperimentConfig.from_json(args.config)
-    _checked_trials(cfg, "matgen")
     if len(cfg.family) != 1:
         raise ValueError("matgen needs exactly one family in the config")
+    _checked_trials(cfg, "matgen")
     path = str(args.out) + ".csv"
     save_matrix(path, generate(_generator_spec(cfg, cfg.family[0], cfg.n, cfg.master_seed)))
     print("wrote", path)

@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .linalg import _check_positive, _check_seed, _check_sensor_count, _enumerable, _flag, _integer
 from .linalg import _real, _walk_subsets, as_sensing_matrix, frame_potential, mse
-from .matgen import FAMILIES, GeneratorSpec, generate
+from .matgen import _TABLE, FAMILIES, GeneratorSpec, _refuse_unread, generate
 from .matio import csv_row, load_matrix
 from .placement import _SENSOR_RANGES, ALGORITHMS, PlacementOptions, run_placement
 from .seeding import derive_seed
@@ -75,7 +75,7 @@ class ExperimentConfig:
     ValueError.
     """
 
-    family: str | list = "gaussian"
+    family: str | list = FAMILIES[0]  # gaussian
     n: int = 100
     k: int = 30
     scale: float | None = None
@@ -316,10 +316,11 @@ def _generator_spec(cfg: ExperimentConfig, family: str, n: int, seed: int = 0) -
     """The recipe of the config's ``family`` matrix with N = ``n``.
 
     The one mapping from a config to a generated matrix: every family gets
-    ``k`` and ``entry_scale``, and only ``stacked_scaled`` gets ``scale``.
+    ``k``, and of ``scale`` and ``entry_scale`` only the settings that its
+    row of the family table in :mod:`~framesense.matgen` reads.
     """
-    scale = cfg.scale if family == "stacked_scaled" else None
-    return GeneratorSpec(family, n, cfg.k, seed, scale, cfg.entry_scale)
+    settings = {name: getattr(cfg, name) for name in _TABLE[family].reads}
+    return GeneratorSpec(family, n, cfg.k, seed, **settings)
 
 
 def _checked_trials(cfg: ExperimentConfig, command: str, run_cell=None) -> list:
@@ -331,10 +332,12 @@ def _checked_trials(cfg: ExperimentConfig, command: str, run_cell=None) -> list:
     them. With ``matrix_csv`` it refuses the generation settings a fixed
     matrix would ignore (a ``scale``, an ``entry_scale`` other than 1.0,
     more than one family) and loads the matrix once; its rows define N and
-    K, and its family reads ``csv``. Otherwise it refuses a ``scale`` that
-    no family uses and builds every family's recipe at every N of the run
-    (``n``, or each ``n_values`` entry for ``sweep-time``), so a setting
-    that :class:`GeneratorSpec` refuses fails here and not partway through.
+    K, and its family reads ``csv``. Otherwise it refuses a ``scale`` or an
+    ``entry_scale`` other than 1.0 that no listed family reads (a list may
+    mix readers and other families; each gets only what it reads) and
+    builds every family's recipe at every N of the run (``n``, or each
+    ``n_values`` entry for ``sweep-time``), so a setting that
+    :class:`GeneratorSpec` refuses fails here and not partway through.
     Then it checks every (L, algorithm) cell the command runs at each N:
     a timing sweep runs L = ceil(N / 2), an audit certifies framesense,
     and ``matgen`` runs none.
@@ -358,8 +361,7 @@ def _checked_trials(cfg: ExperimentConfig, command: str, run_cell=None) -> list:
         fixed = as_sensing_matrix(load_matrix(cfg.matrix_csv))
         families, n_values, k = ("csv",), (fixed.n,), fixed.k
     else:
-        if cfg.scale is not None and "stacked_scaled" not in cfg.family:
-            raise ValueError(f"scale only applies to stacked_scaled, got families {cfg.family}")
+        _refuse_unread(cfg, cfg.family, f"families {cfg.family}")
         families, k = cfg.family, cfg.k
         n_values = cfg.n_values if command == "sweep-time" else (cfg.n,)
         for n in n_values:

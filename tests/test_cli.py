@@ -189,6 +189,15 @@ class TestSweepMseCommand:
         assert proc.returncode == 2
         assert "sensors" in proc.stderr
 
+    def test_json_array_config_exits_2(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([{"n": 9, "k": 3}]))
+        proc = run_cli("sweep-mse", "--config", str(path), "--out", str(tmp_path / "x"),
+                       check=False)
+        assert proc.returncode == 2
+        assert "config must be a JSON object" in proc.stderr
+        assert not (tmp_path / "x_raw.csv").exists()
+
     @pytest.mark.parametrize("bad", [
         {"trials": 2.5},
         {"trials": "3"},
@@ -300,6 +309,13 @@ class TestMatgenCommand:
                        check=False)
         assert proc.returncode == 2
 
+    def test_family_count_checked_first(self, tmp_path):
+        # stacked_scaled without scale would be refused too, but one family is the first rule
+        cfg = write_cfg(tmp_path, family=["gaussian", "stacked_scaled"], n=6, k=2)
+        proc = run_cli("matgen", "--config", cfg, "--out", str(tmp_path / "m"), check=False)
+        assert proc.returncode == 2
+        assert "error: matgen needs exactly one family in the config" in proc.stderr
+
     def test_rejects_threads(self, tmp_path):
         # matgen writes one matrix and has no workers to run
         cfg = write_cfg(tmp_path, family="gaussian", n=6, k=2, threads=2)
@@ -308,6 +324,18 @@ class TestMatgenCommand:
         assert proc.returncode == 2
         assert "threads applies to sweep-mse only, not to matgen" in proc.stderr
         assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-mse", "sweep-time", "audit", "matgen"])
+def test_unread_entry_scale_exits_2(tmp_path, command):
+    # bernoulli signs are fixed to +-1, so an entry_scale would change nothing
+    cfg = write_cfg(tmp_path, family="bernoulli", entry_scale=3.0, n=8, k=3, n_values=[8],
+                    l_values=[4], trials=1)
+    proc = run_cli(command, "--config", cfg, "--out", str(tmp_path / "x"), check=False)
+    assert proc.returncode == 2
+    assert ("error: entry_scale only applies to gaussian and stacked_scaled, "
+            "got families ['bernoulli']") in proc.stderr
+    assert list(tmp_path.glob("x*")) == []
 
 
 def _declared_entry_point():

@@ -86,6 +86,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="num_sensors"):
             ExperimentConfig.from_json(path)
 
+    def test_from_json_refuses_non_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([{"n": 8}]))
+        with pytest.raises(ValueError, match="config must be a JSON object$"):
+            ExperimentConfig.from_json(path)
+
+    def test_matrix_csv_must_be_a_path(self):
+        with pytest.raises(ValueError, match="^matrix_csv must be a path, got 5$"):
+            ExperimentConfig(matrix_csv=5)
+
     def test_from_json_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"family": "bernoulli", "n": 12, "k": 4, "trials": 2}))
@@ -279,6 +289,27 @@ class TestGenerationCheck:
             run(cfg)
         assert calls == []
 
+    @pytest.mark.parametrize("run", [sweep_mse, sweep_timing, oracle_audit])
+    def test_unread_entry_scale_refused(self, monkeypatch, run):
+        calls = record_placements(monkeypatch)
+        cfg = small_cfg(family="bernoulli", entry_scale=3.0, l_values=(4,), n_values=(8,), trials=1)
+        message = r"^entry_scale only applies to gaussian and stacked_scaled, got families \['bernoulli'\]$"
+        with pytest.raises(ValueError, match=message):
+            run(cfg)
+        assert calls == []
+
+    def test_entry_scale_reaches_its_readers_only(self):
+        # a family list may mix families that read entry_scale and ones that do not
+        kw = dict(family=["gaussian", "bernoulli"], l_values=(4,), trials=2, algorithms=("random",))
+        scaled, plain = sweep_mse(small_cfg(entry_scale=3.0, **kw)).raw, sweep_mse(small_cfg(**kw)).raw
+        for row, base in zip(scaled, plain):
+            if row.family == "bernoulli":
+                assert (row.mse, row.fp) == (base.mse, base.fp)
+            else:
+                # the same rows of draws scaled by 3 give 1/9 of the MSE
+                assert row.mse == pytest.approx(base.mse / 9.0, rel=1e-12)
+        assert {r.family for r in scaled} == {"gaussian", "bernoulli"}
+
     def test_scale_reaches_stacked_scaled_only(self):
         cfg = small_cfg(family=["gaussian", "stacked_scaled"], scale=4.0, l_values=(4,),
                         trials=1, algorithms=("random",))
@@ -409,6 +440,17 @@ class TestSweepTiming:
         monkeypatch.setattr(framesense.harness, "generate", stop)
         with pytest.raises(Reached):
             sweep_timing(ExperimentConfig(trials=1))
+
+    def test_plot_script(self):
+        table = sweep_timing(small_cfg(n_values=(8, 12), trials=2, algorithms=("framesense", "random")))
+        script = table.plot_script()
+        assert "set title 'placement wall time'\n" in script
+        assert "set xlabel 'candidate locations N'\n" in script
+        assert "set ylabel 'mean wall time [s]'\n" in script
+        blocks = re.findall(r"<< EOD\n(.*?)EOD\n", script, re.S)
+        assert len(blocks) == 2
+        for block in blocks:
+            assert [line.split(",")[0] for line in block.splitlines()] == ["8", "12"]
 
     def test_grid_point_outside_range_rejected(self):
         cfg = small_cfg(n_values=(4,), algorithms=("framesense",))

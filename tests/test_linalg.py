@@ -164,6 +164,8 @@ def test_gram_selection_errors():
     with pytest.raises(ValueError, match="at least one row index"):
         gram(psi, np.array([]))
     assert np.array_equal(gram(psi, np.array([0, 2], dtype=np.uint8)), gram(psi, [0, 2]))
+    with pytest.raises(ValueError, match="^selection must be a flat collection of row indices$"):
+        frame_potential(np.eye(4), [[0, 1], [2, 3]])
 
 
 @pytest.mark.parametrize("sel", [
@@ -365,6 +367,10 @@ class TestLeastSquares:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             least_squares(np.eye(2), (0, 1), [1.0, 2.0, 3.0])
+
+    def test_non_finite_measurement_refused(self):
+        with pytest.raises(ValueError, match="^measurements must all be finite$"):
+            least_squares(np.eye(2), (0, 1), [1.0, np.nan])
 
 
 class TestRowNormalize:

@@ -50,12 +50,15 @@ def test_row_normalized_rows_are_unit():
     assert np.max(np.abs(m.row_norms - 1.0)) < 1e-12
 
 
-def test_row_normalized_ignores_entry_scale():
-    # bit for bit, for both families that normalize the draws
-    for family in ("gaussian_row_normalized", "random_tight_frame"):
-        a = generate(GeneratorSpec(family, 6, 3, seed=2)).entries
-        b = generate(GeneratorSpec(family, 6, 3, seed=2, entry_scale=9.0)).entries
-        assert np.array_equal(a, b), family
+def test_entry_scale_refused_where_unread():
+    # these families renormalize rows or columns or fix entries to a
+    # lattice, so an entry_scale would change nothing
+    for family in ("gaussian_row_normalized", "random_tight_frame", "bernoulli", "dct_frame"):
+        message = f"^entry_scale only applies to gaussian and stacked_scaled, got family '{family}'$"
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec(family, 6, 3, entry_scale=9.0)
+        # 1.0, the default, counts as not set
+        GeneratorSpec(family, 6, 3, entry_scale=1.0)
 
 
 def test_tight_frame_columns_orthonormal():
