@@ -9,95 +9,43 @@ certificates, reproducible test matrices, and an experiment harness with a
 command line front end.
 
 Submodules load on first use (PEP 562): ``import framesense`` imports none
-of them, and ``framesense.<name>`` imports only the submodule that defines
-``name``, so a process that places sensors never loads the harness.
+of them. The public names are those listed in the ``__all__`` of six
+submodules, and ``framesense.<name>`` imports them in the order linalg,
+matio, matgen, placement, bounds, harness until one lists ``name``. So a
+name loads its home and the submodules before it, and nothing after it: a
+placement name also loads matio and matgen, and a process that places
+sensors never loads the bounds or the harness.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Public name -> the submodule that defines it.
-_HOMES = {
-    name: home
-    for home, names in {
-        "bounds": (
-            "BOUNDS_CSV_HEADER",
-            "BoundsReport",
-            "compute_bounds_report",
-            "delta_bound",
-            "fp_approx_factor",
-            "l_min_max",
-            "mse_approx_factor",
-            "mse_envelope",
-            "mp_scenario",
-            "mp_scenario_report",
-            "sharma_interval",
-            "untf_reference",
-        ),
-        "harness": (
-            "AGG_CSV_HEADER",
-            "AUDIT_CSV_HEADER",
-            "AuditRow",
-            "AuditTable",
-            "ExperimentConfig",
-            "RAW_CSV_HEADER",
-            "RawRow",
-            "ResultTable",
-            "oracle_audit",
-            "sweep_mse",
-            "sweep_timing",
-        ),
-        "linalg": (
-            "RANK_RTOL",
-            "UNBOUNDED",
-            "ConvergenceError",
-            "SensingMatrix",
-            "as_sensing_matrix",
-            "coherence",
-            "frame_potential",
-            "gram",
-            "least_squares",
-            "mse",
-            "row_normalize",
-            "sym_eigenvalues",
-        ),
-        "matgen": ("FAMILIES", "GeneratorSpec", "generate"),
-        "matio": ("load_matrix", "save_matrix"),
-        "placement": (
-            "ALGORITHMS",
-            "ORACLE_SUBSET_LIMIT",
-            "CovarianceConditioningError",
-            "PlacementOptions",
-            "Selection",
-            "exhaustive_oracle",
-            "framesense",
-            "greedy_coherence",
-            "greedy_det",
-            "greedy_mi",
-            "greedy_mse",
-            "random_placement",
-            "run_placement",
-        ),
-    }.items()
-    for name in names
-}
+# Each exporter comes after every submodule it imports; cli and seeding
+# export nothing here and are reached only as attributes.
+_EXPORTERS = ("linalg", "matio", "matgen", "placement", "bounds", "harness")
+_SUBMODULES = _EXPORTERS + ("cli", "seeding")
 
-_SUBMODULES = ("bounds", "cli", "harness", "linalg", "matgen", "matio", "placement", "seeding")
 
-__all__ = sorted(_HOMES)
+def _load(home):
+    return import_module(f".{home}", __name__)
 
 
 def __getattr__(name):
-    if name in _HOMES:
-        value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
-    elif name in _SUBMODULES:
-        value = import_module(f".{name}", __name__)
+    if name in _SUBMODULES:
+        value = _load(name)
+    elif name == "__all__":
+        value = sorted(n for home in _EXPORTERS for n in _load(home).__all__)
     else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        # a generator, so the search loads no exporter past the name's home
+        homes = () if name.startswith("_") else (_load(home) for home in _EXPORTERS)
+        home = next((module for module in homes if name in module.__all__), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(import_module(__name__).__all__))

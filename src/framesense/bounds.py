@@ -166,7 +166,7 @@ def delta_bound(psi, num_sensors: int) -> float:
     one gather, Gram product and ``eigvalsh`` call per subset, and returns
     the largest absolute deviation of any eigenvalue from ``l_mean / K``.
     Minimal by construction. Instances with more than
-    :data:`~framesense.placement.ORACLE_SUBSET_LIMIT` subsets, the guard
+    :data:`~framesense.linalg.ORACLE_SUBSET_LIMIT` subsets, the guard
     the exhaustive oracles share, are refused, and so are matrices whose
     subset Gram matrices could overflow float64.
     """

@@ -500,7 +500,7 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
     exhaustive optima, the gamma factor, delta and eta when enumerable, and
     the MSE envelope of the greedy selection, with pass flags for the two
     certified inequalities. Instances whose subset count exceeds
-    :data:`~framesense.placement.ORACLE_SUBSET_LIMIT` are recorded as
+    :data:`~framesense.linalg.ORACLE_SUBSET_LIMIT` are recorded as
     skipped, not errors. Each instance walks its subsets once, with one
     gather, Gram product and ``eigvalsh`` call per subset; both optima and
     delta come from that walk, with the values :func:`exhaustive_oracle`

@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "ConvergenceError",
+    "ORACLE_SUBSET_LIMIT",
     "RANK_RTOL",
     "SensingMatrix",
     "UNBOUNDED",

@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# ORACLE_SUBSET_LIMIT is linalg's; imported so placement.ORACLE_SUBSET_LIMIT still reads it
 from .linalg import ORACLE_SUBSET_LIMIT, RANK_RTOL, ConvergenceError, as_sensing_matrix, row_normalize
 from .linalg import _check_positive, _check_seed, _check_sensor_count, _eigen, _flag, _walk_subsets
 from .seeding import philox_generator
@@ -47,7 +48,6 @@ from .seeding import philox_generator
 __all__ = [
     "ALGORITHMS",
     "CovarianceConditioningError",
-    "ORACLE_SUBSET_LIMIT",
     "PlacementOptions",
     "Selection",
     "exhaustive_oracle",
@@ -387,10 +387,10 @@ def greedy_det(psi, num_sensors: int) -> Selection:
     ConvergenceError.
     """
 
-    def score(inv, y2):
+    def score(inv, y2, norms2):
         q = y2 @ inv
         # q rounds in proportion to |x|^2 max(inv); log1p divides that by 1 + q
-        scale = float(y2.sum(axis=1).max() * inv.max() / (1.0 + q.max()))
+        scale = float(norms2.max() * inv.max() / (1.0 + q.max()))
         return np.log1p(q, out=q), scale
 
     return _eigen_best_in("det", psi, num_sensors, score)
@@ -409,7 +409,7 @@ def greedy_mse(psi, num_sensors: int) -> Selection:
     ConvergenceError.
     """
 
-    def score(inv, y2):
+    def score(inv, y2, _norms2):
         total = float(inv.sum())
         # total - |G^-1 x|^2 / (1 + x^T G^-1 x), in two N-length arrays
         drop = y2 @ (inv * inv)
@@ -424,9 +424,10 @@ def greedy_mse(psi, num_sensors: int) -> Selection:
 def _eigen_best_in(algorithm, psi, num_sensors, score, minimize=False, degree=0) -> Selection:
     """Best-in loop scored in the eigenbasis of the chosen rows' Gram matrix.
 
-    Each step ``score(inv, y2)`` gets the eigenvalues ``inv`` of the ridged
-    inverse Gram matrix G^-1 of the chosen rows and the squared coordinates
-    ``y2`` of the free rows in its eigenbasis, so x^T G^-1 x = y2 @ inv.
+    Each step ``score(inv, y2, norms2)`` gets the eigenvalues ``inv`` of the
+    ridged inverse Gram matrix G^-1 of the chosen rows, the squared
+    coordinates ``y2`` of the free rows in its eigenbasis, so
+    x^T G^-1 x = y2 @ inv, and the free rows' squared norms ``norms2``.
 
     The loop scores the rows times 2**-p, with p the binary exponent of the
     largest entry, and takes their ridge, so neither the ridge nor ``inv``
@@ -444,10 +445,11 @@ def _eigen_best_in(algorithm, psi, num_sensors, score, minimize=False, degree=0)
     p = math.frexp(top)[1]
     e = np.ldexp(m.entries, -p)
     shift = _ridge(m, p)
+    norms2 = np.einsum("ij,ij->i", e, e)
 
     def objective(chosen, free):
         b = e.take(chosen, axis=0)
-        return score(*_eigen_step(b.T @ b, shift, e.take(free, axis=0)))
+        return score(*_eigen_step(b.T @ b, shift, e.take(free, axis=0)), norms2.take(free))
 
     sel = _best_in(m.n, num_sensors, objective, minimize)
     # a trace value past float64 in the rows' own scale reads inf
@@ -586,9 +588,9 @@ def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
     :func:`framesense.linalg.frame_potential` or
     :func:`framesense.linalg.mse` returns for that subset, bit for bit, and
     no N x N array is formed. Refuses instances with more than
-    :data:`ORACLE_SUBSET_LIMIT` subsets, and matrices whose subset frame
-    potentials (``"fp"``) or Gram matrices (``"mse"``) could overflow
-    float64.
+    :data:`~framesense.linalg.ORACLE_SUBSET_LIMIT` subsets, and matrices
+    whose subset frame potentials (``"fp"``) or Gram matrices (``"mse"``)
+    could overflow float64.
 
     Returns
     -------

@@ -25,12 +25,74 @@ def test_every_exported_name_has_exactly_one_home():
         assert getattr(framesense, name) is getattr(importlib.import_module(homes[0]), name)
 
 
-def test_lazy_table_names_exactly_the_exports():
-    assert sorted(framesense._HOMES) == framesense.__all__
-    assert len(set(framesense.__all__)) == len(framesense.__all__)
-    for name, home in framesense._HOMES.items():
-        assert name in importlib.import_module(f"framesense.{home}").__all__, name
+def test_every_exporter_name_is_a_package_name():
+    exported = []
+    for home in framesense._EXPORTERS:
+        module = importlib.import_module(f"framesense.{home}")
+        for name in module.__all__:
+            assert getattr(framesense, name) is getattr(module, name), name
+        exported += module.__all__
+    assert framesense.__all__ == sorted(exported)
+    assert len(set(exported)) == len(exported)
     assert set(framesense._SUBMODULES) == {m.__name__.rpartition(".")[2] for m in SUBMODULES}
+
+
+# Runs in a fresh interpreter: looks up the names given on the command line
+# in the package namespace, then prints what that loaded.
+_LOOKUP_IMPORTS = """
+import sys
+import framesense
+for name in sys.argv[1:]:
+    getattr(framesense, name)
+print(*sorted(m for m in sys.modules if m.startswith("framesense.") or m == "concurrent.futures"))
+"""
+
+
+def _loaded_by(names):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOOKUP_IMPORTS, *names], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("home", framesense._EXPORTERS)
+def test_cold_name_loads_no_later_exporter(home):
+    names = importlib.import_module(f"framesense.{home}").__all__
+    order = framesense._EXPORTERS
+    loaded = {m.rpartition(".")[2] for m in _loaded_by(names)}
+    assert loaded & set(order) == set(order[: order.index(home) + 1])
+
+
+def test_placing_names_load_no_harness_cli_or_thread_pool():
+    names = [
+        name
+        for home in ("linalg", "matio", "matgen", "placement")
+        for name in importlib.import_module(f"framesense.{home}").__all__
+    ]
+    loaded = _loaded_by(names)
+    assert "framesense.placement" in loaded
+    unused = {"framesense.bounds", "framesense.harness", "framesense.cli", "concurrent.futures"}
+    assert not loaded & unused
+
+
+def test_private_name_loads_no_submodule():
+    script = """
+import sys
+import framesense
+for name in ("_HOMES", "_anything", "__wrapped__"):
+    try:
+        getattr(framesense, name)
+    except AttributeError as exc:
+        print(exc)
+print(*sorted(m for m in sys.modules if m.startswith("framesense.")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"module 'framesense' has no attribute {name!r}"
+        for name in ("_HOMES", "_anything", "__wrapped__")
+    ] + [""]
 
 
 def test_dir_covers_exports():
