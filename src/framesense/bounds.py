@@ -12,7 +12,7 @@ where those factors have closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .linalg import (
     gram,
     sym_eigenvalues,
 )
-from .matio import FLOAT_FMT, csv_row
+from .matio import FLOAT_FMT, _csv_header, csv_row
 
 __all__ = [
     "BOUNDS_CSV_HEADER",
@@ -45,11 +45,6 @@ __all__ = [
     "sharma_interval",
     "untf_reference",
 ]
-
-BOUNDS_CSV_HEADER = (
-    "N,K,L,gamma,eta,l_min,l_max,l_mean,d,delta,mse_bound_lower,mse_bound_upper"
-)
-
 
 def _rounding_allowance(k: int) -> float:
     """Relative slack an audit grants a computed value against its certificate.
@@ -75,9 +70,24 @@ def _rounding_allowance(k: int) -> float:
     are seen to collapse it is zero. The allowance is capped at 1e-12, so
     a real miss is never forgiven: at K = 3 it is 2.7e-15, while a
     collapsed 12 x 3 bernoulli cell reads its lower bound 3e-16 above its
-    MSE.
+    MSE. Its one caller is :func:`_within_certificates`.
     """
     return min(4 * k * float(np.finfo(np.float64).eps), 1e-12)
+
+
+def _within_certificates(report: BoundsReport, fp_greedy, fp_opt, mse_greedy) -> tuple:
+    """The two certified inequalities of an audit cell, each up to :func:`_rounding_allowance`.
+
+    Returns ``(fp_within_gamma, mse_within_bounds)``: whether the
+    selection's frame potential is at most ``report.gamma`` times the
+    optimum's, and whether its unit-variance MSE lies in the envelope
+    ``[report.mse_bound_lower, report.mse_bound_upper]``.
+    """
+    slack = _rounding_allowance(report.k)
+    fp_ok = bool(fp_greedy <= report.gamma * fp_opt * (1.0 + slack))
+    mse_ok = bool(report.mse_bound_lower * (1.0 - slack) <= mse_greedy
+                  <= report.mse_bound_upper * (1.0 + slack))
+    return fp_ok, mse_ok
 
 
 def l_min_max(psi, num_sensors: int):
@@ -307,7 +317,10 @@ class BoundsReport:
         return "".join(f"{name}={text}\n" for name, text in zip(BOUNDS_CSV_HEADER.split(","), texts))
 
     def to_csv_row(self) -> str:
-        return csv_row(astuple(self))
+        return csv_row(self)
+
+
+BOUNDS_CSV_HEADER = _csv_header(BoundsReport)
 
 
 def compute_bounds_report(psi, num_sensors: int, sel, delta: float | None = None) -> BoundsReport:

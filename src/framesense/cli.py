@@ -110,10 +110,10 @@ def _cmd_run(args) -> int:
         print("wrote", path)
     if args.command == "audit":
         info = table.summary()
-        print(
-            "audited %d/%d instances, fp pass %d, mse pass %d"
-            % (info["audited"], info["instances"], info["fp_pass"], info["mse_pass"])
-        )
+        # one item per pass count of the summary, in its order
+        passes = "".join(f", {key.removesuffix('_pass')} pass {count}"
+                         for key, count in info.items() if key.endswith("_pass"))
+        print(f"audited {info['audited']}/{info['instances']} instances{passes}")
     return 0
 
 

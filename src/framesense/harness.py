@@ -14,22 +14,16 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
 
-from .bounds import (
-    BOUNDS_CSV_HEADER,
-    BoundsReport,
-    _rounding_allowance,
-    _spectrum_delta,
-    compute_bounds_report,
-)
+from .bounds import BoundsReport, _spectrum_delta, _within_certificates, compute_bounds_report
 from .linalg import _check_positive, _check_seed, _check_sensor_count, _enumerable, _flag, _integer
 from .linalg import _real, _walk_subsets, as_sensing_matrix, frame_potential, mse
 from .matgen import _TABLE, FAMILIES, GeneratorSpec, _refuse_unread, generate
-from .matio import csv_row, load_matrix
+from .matio import _csv_header, csv_row, load_matrix
 from .placement import _SENSOR_RANGES, ALGORITHMS, PlacementOptions, run_placement
 from .seeding import derive_seed
 
@@ -46,17 +40,6 @@ __all__ = [
     "sweep_mse",
     "sweep_timing",
 ]
-
-RAW_CSV_HEADER = "family,N,K,L,algorithm,trial,seed,mse,fp,wall_time_seconds"
-AGG_CSV_HEADER = (
-    "family,N,K,L,algorithm,trials,mse_mean,mse_std,mse_unbounded,fp_mean,fp_std,time_mean,time_std"
-)
-AUDIT_CSV_HEADER = (
-    "family,trial,seed,"
-    + BOUNDS_CSV_HEADER
-    + ",fp_greedy,fp_opt,mse_greedy,mse_opt,fp_within_gamma,mse_within_bounds,status"
-)
-
 
 @dataclass
 class ExperimentConfig:
@@ -153,19 +136,6 @@ def _check_grid(algorithms, l_values, n: int, k: int, where: str = ""):
             _check_sensor_count(f"{where}{algo}", l, low, high, (n, k))
 
 
-def _flat_values(record):
-    """Field values of a dataclass record in declaration order.
-
-    A nested record's values stand in its place, as an audit row's report's do.
-    """
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if is_dataclass(value):
-            yield from _flat_values(value)
-        else:
-            yield value
-
-
 def _write_csv(path, header, lines):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
@@ -186,9 +156,6 @@ class RawRow:
     fp: float
     wall_time_seconds: float
 
-    def to_csv(self) -> str:
-        return csv_row(_flat_values(self))
-
 
 @dataclass(frozen=True)
 class AggRow:
@@ -206,8 +173,9 @@ class AggRow:
     time_mean: float
     time_std: float
 
-    def to_csv(self) -> str:
-        return csv_row(_flat_values(self))
+
+RAW_CSV_HEADER = _csv_header(RawRow)
+AGG_CSV_HEADER = _csv_header(AggRow)
 
 
 def _aggregate(raw: list) -> list:
@@ -260,8 +228,8 @@ class ResultTable:
         """Write ``<prefix>_raw.csv``, ``<prefix>_agg.csv``, ``<prefix>_plot``."""
         prefix = str(prefix)
         paths = [prefix + "_raw.csv", prefix + "_agg.csv", prefix + "_plot"]
-        _write_csv(paths[0], RAW_CSV_HEADER, (row.to_csv() for row in self.raw))
-        _write_csv(paths[1], AGG_CSV_HEADER, (row.to_csv() for row in self.aggregates))
+        _write_csv(paths[0], RAW_CSV_HEADER, map(csv_row, self.raw))
+        _write_csv(paths[1], AGG_CSV_HEADER, map(csv_row, self.aggregates))
         with open(paths[2], "w", encoding="ascii") as fh:
             fh.write(self.plot_script())
         return paths
@@ -459,8 +427,8 @@ class AuditRow:
     mse_within_bounds: bool | None
     status: str
 
-    def to_csv(self) -> str:
-        return csv_row(_flat_values(self))
+
+AUDIT_CSV_HEADER = _csv_header(AuditRow)
 
 
 @dataclass
@@ -470,16 +438,21 @@ class AuditTable:
     rows: list
 
     def summary(self) -> dict:
+        """Instance counts, one ``<quantity>_pass`` count per pass flag, and fp ratios.
+
+        Each ``<quantity>_within_<certificate>`` field of :class:`AuditRow`
+        is a pass flag, and its count of audited rows that pass is keyed
+        ``<quantity>_pass``, in field order.
+        """
         audited = [r for r in self.rows if r.status == "ok"]
-        fp_pass = sum(1 for r in audited if r.fp_within_gamma)
-        mse_pass = sum(1 for r in audited if r.mse_within_bounds)
+        passes = {flag.partition("_within_")[0] + "_pass": sum(getattr(r, flag) for r in audited)
+                  for flag in (f.name for f in fields(AuditRow)) if "_within_" in flag}
         ratios = [r.fp_greedy / r.fp_opt for r in audited if r.fp_opt > 0]
         return {
             "instances": len(self.rows),
             "audited": len(audited),
             "skipped": len(self.rows) - len(audited),
-            "fp_pass": fp_pass,
-            "mse_pass": mse_pass,
+            **passes,
             "max_fp_ratio": max(ratios) if ratios else math.nan,
             "mean_fp_ratio": float(np.mean(ratios)) if ratios else math.nan,
         }
@@ -487,7 +460,7 @@ class AuditTable:
     def write(self, prefix) -> list:
         prefix = str(prefix)
         paths = [prefix + "_raw.csv", prefix + "_agg.csv"]
-        _write_csv(paths[0], AUDIT_CSV_HEADER, (row.to_csv() for row in self.rows))
+        _write_csv(paths[0], AUDIT_CSV_HEADER, map(csv_row, self.rows))
         info = self.summary()
         _write_csv(paths[1], ",".join(info), [csv_row(info.values())])
         return paths
@@ -529,9 +502,5 @@ def _audit_cell(cfg, matrix, family, trial, seed, l, algo) -> AuditRow:
     (_, fp_opt), (_, mse_opt), lam_range = _walk_subsets(matrix, l, fp=True, spectrum=True)
     delta = _spectrum_delta(matrix, l, lam_range)
     report = compute_bounds_report(matrix, l, selection.chosen, delta)
-    slack = _rounding_allowance(matrix.k)
-    fp_ok = bool(fp_greedy <= report.gamma * fp_opt * (1.0 + slack))
-    mse_ok = bool(report.mse_bound_lower * (1.0 - slack) <= mse_greedy
-                  <= report.mse_bound_upper * (1.0 + slack))
     return AuditRow(family, trial, seed, report, fp_greedy, fp_opt, mse_greedy, mse_opt,
-                    fp_ok, mse_ok, "ok")
+                    *_within_certificates(report, fp_greedy, fp_opt, mse_greedy), "ok")

@@ -7,6 +7,9 @@ digits so every float64 value survives a round trip bit for bit.
 
 from __future__ import annotations
 
+import sys
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 
 from .linalg import SensingMatrix
@@ -18,14 +21,48 @@ FLOAT_FMT = "%.17g"
 # ASCII information separators: whitespace to numpy's number parser, not to float().
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
+# the matrix dimensions, named as the paper names them
+_COLUMN_NAMES = {"n": "N", "k": "K", "l": "L"}
+
+
+def _csv_header(record) -> str:
+    """Column names of a dataclass record's rows, in field order.
+
+    A nested record's columns stand in its place, and the fields ``n``,
+    ``k`` and ``l`` are named ``N``, ``K`` and ``L``. A field's annotation
+    may be a type or, where the defining module postpones annotations, the
+    name it has in that module; the name is looked up there, which costs
+    far less than :func:`typing.get_type_hints`.
+    """
+    names = vars(sys.modules[record.__module__])
+    return ",".join(_csv_header(kind) if is_dataclass(kind := names.get(f.type, f.type))
+                    else _COLUMN_NAMES.get(f.name, f.name) for f in fields(record))
+
+
+def _flat_values(record):
+    """Field values of a dataclass record in field order.
+
+    A nested record's values stand in its place, as an audit row's report's do.
+    """
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            yield from _flat_values(value)
+        else:
+            yield value
+
 
 def csv_row(values) -> str:
     """The one format of every experiment table row, without its newline.
 
+    ``values`` is an iterable of values or a dataclass record, whose
+    values are written in the order of :func:`_csv_header`'s columns.
     ``None`` is an empty field and a bool ``0`` or ``1``. Other ints are
     decimal, since seeds reach 2**64 - 1, and strings are kept as they are.
     Anything else is written at :data:`FLOAT_FMT`, ``nan`` and ``inf`` too.
     """
+    if is_dataclass(values):
+        values = _flat_values(values)
     texts = []
     for value in values:
         if value is None:

@@ -141,20 +141,21 @@ class PlacementOptions:
         _check_positive(self.sigma2)
 
 
-def _ridge(m, p: int = 0) -> float:
+def _ridge(norms2, p: int = 0) -> float:
     """The ridge of the det, mse and mi greedies: 1e-6 times the mean squared row norm.
 
-    Taken on the rows times 2**-p, which scales it by exactly 4**-p wherever
-    it stays in range, so a ridge that underflows on tiny rows does not on
-    scaled ones. Raises ValueError when the mean squared row norm of the
-    rows as given overflows float64.
+    ``norms2`` holds the squared row norms of the rows times 2**-p, which
+    scales the ridge by exactly 4**-p wherever it stays in range, so a
+    ridge that underflows on tiny rows does not on scaled ones. Raises
+    ValueError when the mean squared row norm of the rows as given
+    overflows float64.
     """
     with np.errstate(over="ignore"):
-        total = float(np.sum(np.linalg.norm(np.ldexp(m.entries, -p), axis=1) ** 2))
+        total = float(np.sum(norms2))
     # total * 4**p overflows exactly when its binary exponent passes 1024
     if not math.isfinite(total) or math.frexp(total)[1] + 2 * p > 1024:
         raise ValueError("ridge 1e-6 * mean squared row norm overflows float64; rescale the matrix")
-    return 1e-6 * (total / m.n)
+    return 1e-6 * (total / norms2.size)
 
 
 @dataclass(frozen=True)
@@ -444,8 +445,8 @@ def _eigen_best_in(algorithm, psi, num_sensors, score, minimize=False, degree=0)
         raise ValueError(f"{algorithm} needs a matrix with a nonzero entry; every row is zero")
     p = math.frexp(top)[1]
     e = np.ldexp(m.entries, -p)
-    shift = _ridge(m, p)
     norms2 = np.einsum("ij,ij->i", e, e)
+    shift = _ridge(norms2, p)
 
     def objective(chosen, free):
         b = e.take(chosen, axis=0)
@@ -497,8 +498,10 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
     opts = opts or PlacementOptions(algorithm="mi")
     _check_count("mi", num_sensors, m.shape)
     n = m.n
+    with np.errstate(over="ignore"):
+        norms2 = np.einsum("ij,ij->i", m.entries, m.entries)
     try:
-        ridge = _ridge(m)
+        ridge = _ridge(norms2)
     except ValueError as exc:
         raise CovarianceConditioningError(f"conditioning failed: {exc}") from exc
     sigma2 = opts.sigma2

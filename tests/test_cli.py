@@ -259,8 +259,8 @@ class TestAuditCommand:
         cfg = write_cfg(tmp_path, family="gaussian", n=8, k=3, l_values=[4],
                         trials=3, normalize_rows=False)
         proc = run_cli("audit", "--config", cfg, "--out", str(tmp_path / "a"))
-        assert "audited 3/3 instances" in proc.stdout
-        assert "fp pass 3" in proc.stdout
+        # one ", <quantity> pass <count>" item per pass flag of an audit row
+        assert proc.stdout.splitlines()[-1] == "audited 3/3 instances, fp pass 3, mse pass 3"
         raw = (tmp_path / "a_raw.csv").read_text().splitlines()
         assert len(raw) == 4
 

@@ -355,7 +355,7 @@ class TestAggregation:
         agg = ResultTable(rows).aggregates
         assert math.isinf(agg[0].mse_mean)
         assert agg[0].mse_unbounded == 1
-        assert agg[0].to_csv().split(",")[AGG_CSV_HEADER.split(",").index("mse_unbounded")] == "1"
+        assert csv_row(agg[0]).split(",")[AGG_CSV_HEADER.split(",").index("mse_unbounded")] == "1"
 
 
 class TestCsvOutput:
@@ -373,7 +373,7 @@ class TestCsvOutput:
         table = sweep_mse(small_cfg())
         width = len(RAW_CSV_HEADER.split(","))
         for row in table.raw:
-            assert len(row.to_csv().split(",")) == width
+            assert len(csv_row(row).split(",")) == width
 
 
 def flat_field_names(cls):

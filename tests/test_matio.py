@@ -1,5 +1,7 @@
 """CSV matrix reader and writer."""
 
+import dataclasses
+import math
 import os
 import threading
 
@@ -9,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from framesense import SensingMatrix, load_matrix, save_matrix
-from framesense.matio import FLOAT_FMT
+from framesense.matio import FLOAT_FMT, _csv_header, csv_row
 
 
 def test_roundtrip_is_bitwise(tmp_path):
@@ -176,3 +178,34 @@ def test_fields_read_as_float_reads_them(tmp_path):
     assert load_matrix(path).tolist() == [[10.0, 2.5], [-np.inf, 3.0]]
     # information separators, which float() does not strip, stay errors
     assert _load_error(path, "1,\x1c2\n") == f"{path}: line 1: could not parse a value in '1,\\x1c2'"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    n: int
+    gain: float
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    name: str
+    inner: _Inner
+    k: int
+    # the annotation as a module that postpones annotations keeps it
+    later: "_Inner"
+    l: int
+    ok: bool | None
+
+
+def test_csv_header_flattens_nested_records_and_names_dimensions():
+    types = {f.name: f.type for f in dataclasses.fields(_Outer)}
+    assert (types["inner"], types["later"]) == (_Inner, "_Inner")
+    assert _csv_header(_Inner) == "N,gain"
+    assert _csv_header(_Outer) == "name,N,gain,K,N,gain,L,ok"
+
+
+def test_csv_row_of_a_record_is_that_of_its_flat_values():
+    row = _Outer("a", _Inner(3, 0.1), 7, _Inner(2**64 - 1, math.nan), 4, None)
+    flat = ["a", 3, 0.1, 7, 2**64 - 1, math.nan, 4, None]
+    assert csv_row(row) == csv_row(flat) == "a,3,0.10000000000000001,7,18446744073709551615,nan,4,"
+    assert len(csv_row(row).split(",")) == len(_csv_header(_Outer).split(","))

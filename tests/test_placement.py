@@ -51,7 +51,8 @@ from _oracles import (
 
 def default_ridge(psi):
     """The ridge the det, mse and mi greedies use on ``psi``."""
-    return _ridge(as_sensing_matrix(psi))
+    e = as_sensing_matrix(psi).entries
+    return _ridge(np.einsum("ij,ij->i", e, e))
 
 
 # three basis rows plus a duplicate of the first
