@@ -81,10 +81,12 @@ def _within_certificates(report: BoundsReport, fp_greedy, fp_opt, mse_greedy) ->
     Returns ``(fp_within_gamma, mse_within_bounds)``: whether the
     selection's frame potential is at most ``report.gamma`` times the
     optimum's, and whether its unit-variance MSE lies in the envelope
-    ``[report.mse_bound_lower, report.mse_bound_upper]``.
+    ``[report.mse_bound_lower, report.mse_bound_upper]``. A check whose
+    optimum is NaN, as past the enumeration guard, is not made and reads
+    None; the envelope needs no optimum and is always checked.
     """
     slack = _rounding_allowance(report.k)
-    fp_ok = bool(fp_greedy <= report.gamma * fp_opt * (1.0 + slack))
+    fp_ok = None if math.isnan(fp_opt) else bool(fp_greedy <= report.gamma * fp_opt * (1.0 + slack))
     mse_ok = bool(report.mse_bound_lower * (1.0 - slack) <= mse_greedy
                   <= report.mse_bound_upper * (1.0 + slack))
     return fp_ok, mse_ok

@@ -24,7 +24,7 @@ from .linalg import _check_positive, _check_seed, _check_sensor_count, _enumerab
 from .linalg import _real, _walk_subsets, as_sensing_matrix, frame_potential, mse
 from .matgen import _TABLE, FAMILIES, GeneratorSpec, _refuse_unread, generate
 from .matio import _csv_header, csv_row, load_matrix
-from .placement import _SENSOR_RANGES, ALGORITHMS, PlacementOptions, run_placement
+from .placement import _PLACERS, ALGORITHMS, PlacementOptions, run_placement
 from .seeding import derive_seed
 
 __all__ = [
@@ -130,7 +130,7 @@ def _check_grid(algorithms, l_values, n: int, k: int, where: str = ""):
     """
     for l in l_values:
         for algo in algorithms:
-            low, high = _SENSOR_RANGES[algo](n, k)
+            low, high = _PLACERS[algo].sensors(n, k)
             if algo == "framesense":
                 low = max(low, k)
             _check_sensor_count(f"{where}{algo}", l, low, high, (n, k))
@@ -474,13 +474,16 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
     the MSE envelope of the greedy selection, with pass flags for the two
     certified inequalities. Instances whose subset count exceeds
     :data:`~framesense.linalg.ORACLE_SUBSET_LIMIT` are recorded as
-    skipped, not errors. Each instance walks its subsets once, with one
-    gather, Gram product and ``eigvalsh`` call per subset; both optima and
-    delta come from that walk, with the values :func:`exhaustive_oracle`
-    and :func:`delta_bound` return, so every walked instance reports its
-    delta. ``fp_greedy`` and ``fp_opt`` follow the one rule of
-    :func:`~framesense.linalg.frame_potential`, so a greedy selection that
-    is optimal reports ``fp_greedy == fp_opt`` exactly.
+    skipped, not errors: only their subset walk is left out, so their
+    optima, delta and eta are NaN and their gamma flag is None, while every
+    other column is what a walked instance reports. Each walked instance
+    walks its subsets once, with one gather, Gram product and ``eigvalsh``
+    call per subset; both optima and delta come from that walk, with the
+    values :func:`exhaustive_oracle` and :func:`delta_bound` return, so
+    every walked instance reports its delta. ``fp_greedy`` and ``fp_opt``
+    follow the one rule of :func:`~framesense.linalg.frame_potential`, so a
+    greedy selection that is optimal reports ``fp_greedy == fp_opt``
+    exactly.
 
     The certified greedy always runs with ``normalize_rows=False``, the run
     the gamma certificate covers; ``cfg.normalize_rows`` does not apply to
@@ -490,17 +493,21 @@ def oracle_audit(cfg: ExperimentConfig) -> AuditTable:
 
 
 def _audit_cell(cfg, matrix, family, trial, seed, l, algo) -> AuditRow:
-    """``algo``'s selection of ``l`` rows checked against the optima and its certificates."""
-    if not _enumerable(matrix.n, l):
-        nans = {f.name: math.nan for f in fields(BoundsReport) if f.type in ("float", float)}
-        return AuditRow(family, trial, seed, BoundsReport(matrix.n, matrix.k, l, **nans),
-                        math.nan, math.nan, math.nan, math.nan, None, None,
-                        f"skipped: C({matrix.n};{l}) exceeds enumeration guard")
+    """``algo``'s selection of ``l`` rows checked against the optima and its certificates.
+
+    The subsets are walked only within the enumeration guard; past it the
+    optima and delta are NaN and every other quantity is still reported.
+    """
     selection = run_placement(matrix, l, PlacementOptions(algo, normalize_rows=False))
     fp_greedy = frame_potential(matrix, selection.chosen)
     mse_greedy = mse(matrix, selection.chosen, 1.0)
-    (_, fp_opt), (_, mse_opt), lam_range = _walk_subsets(matrix, l, fp=True, spectrum=True)
-    delta = _spectrum_delta(matrix, l, lam_range)
+    if _enumerable(matrix.n, l):
+        (_, fp_opt), (_, mse_opt), lam_range = _walk_subsets(matrix, l, fp=True, spectrum=True)
+        delta = _spectrum_delta(matrix, l, lam_range)
+        status = "ok"
+    else:
+        fp_opt = mse_opt = delta = math.nan
+        status = f"skipped: C({matrix.n};{l}) exceeds enumeration guard"
     report = compute_bounds_report(matrix, l, selection.chosen, delta)
     return AuditRow(family, trial, seed, report, fp_greedy, fp_opt, mse_greedy, mse_opt,
-                    *_within_certificates(report, fp_greedy, fp_opt, mse_greedy), "ok")
+                    *_within_certificates(report, fp_greedy, fp_opt, mse_greedy), status)

@@ -37,12 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 # ORACLE_SUBSET_LIMIT is linalg's; imported so placement.ORACLE_SUBSET_LIMIT still reads it
 from .linalg import ORACLE_SUBSET_LIMIT, RANK_RTOL, ConvergenceError, as_sensing_matrix, row_normalize
-from .linalg import _check_positive, _check_seed, _check_sensor_count, _eigen, _flag, _walk_subsets
+from .linalg import _check_positive, _check_seed, _check_sensor_count, _eigen, _flag, _frame_potential
+from .linalg import _walk_subsets
 from .seeding import philox_generator
 
 __all__ = [
@@ -60,36 +62,34 @@ __all__ = [
     "run_placement",
 ]
 
-# Placers are looked up at call time, so one replaced on this module (a
-# tracer's timing wrapper, a test double) is the one that runs.
+
+class _Placer(NamedTuple):
+    """One placer: how it runs and the sensor counts L it accepts."""
+
+    run: Callable  # (psi, l, opts) -> Selection
+    sensors: Callable  # (n, k) -> lowest and highest L on an N x K matrix
+
+
+# Runners look their placer up at call time, so one replaced on this module
+# (a tracer's timing wrapper, a test double) is the one that runs. Ranges:
+# framesense's first move eliminates a pair, det and mse keep at least the
+# K rows that can span every direction, mi's last pick conditions on a free
+# row, and coherence starts from a pair.
 _PLACERS = {
-    "framesense": lambda psi, l, opts: framesense(psi, l, opts),
-    "det": lambda psi, l, opts: greedy_det(psi, l),
-    "mse": lambda psi, l, opts: greedy_mse(psi, l),
-    "mi": lambda psi, l, opts: greedy_mi(psi, l, opts),
-    "coherence": lambda psi, l, opts: greedy_coherence(psi, l),
-    "random": lambda psi, l, opts: random_placement(psi, l, opts.seed),
+    "framesense": _Placer(lambda psi, l, opts: framesense(psi, l, opts), lambda n, k: (1, n - 2)),
+    "det": _Placer(lambda psi, l, opts: greedy_det(psi, l), lambda n, k: (k, n)),
+    "mse": _Placer(lambda psi, l, opts: greedy_mse(psi, l), lambda n, k: (k, n)),
+    "mi": _Placer(lambda psi, l, opts: greedy_mi(psi, l, opts), lambda n, k: (1, n - 1)),
+    "coherence": _Placer(lambda psi, l, opts: greedy_coherence(psi, l), lambda n, k: (2, n)),
+    "random": _Placer(lambda psi, l, opts: random_placement(psi, l, opts.seed), lambda n, k: (1, n)),
 }
 
 ALGORITHMS = tuple(_PLACERS)
 
-# The lowest and highest sensor count L each placer accepts on an N x K
-# matrix: framesense's first move eliminates a pair, det and mse keep at
-# least the K rows that can span every direction, mi's last pick conditions
-# on a free row, and coherence starts from a pair.
-_SENSOR_RANGES = {
-    "framesense": lambda n, k: (1, n - 2),
-    "det": lambda n, k: (k, n),
-    "mse": lambda n, k: (k, n),
-    "mi": lambda n, k: (1, n - 1),
-    "coherence": lambda n, k: (2, n),
-    "random": lambda n, k: (1, n),
-}
-
 
 def _check_count(algorithm: str, num_sensors: int, shape) -> None:
     """ValueError unless ``algorithm`` accepts ``num_sensors`` rows of an N x K matrix."""
-    _check_sensor_count(algorithm, num_sensors, *_SENSOR_RANGES[algorithm](*shape), shape)
+    _check_sensor_count(algorithm, num_sensors, *_PLACERS[algorithm].sensors(*shape), shape)
 
 
 # Every scan counts as tied each candidate within this fraction of a scale of
@@ -231,9 +231,7 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     # every product, gain and rounding bound below is at most twice the
     # frame potential of |w|, the squared Frobenius norm of |w|^T |w|
     with np.errstate(over="ignore"):
-        t = np.abs(w)
-        t = t.T @ t
-        if not math.isfinite(2.0 * float((t * t).sum())):
+        if not math.isfinite(2.0 * _frame_potential(np.abs(w))):
             raise ValueError(
                 "frame potential of the rows overflows float64; rescale the matrix "
                 "or normalize its rows"
@@ -616,4 +614,4 @@ def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
 
 def run_placement(psi, num_sensors: int, opts: PlacementOptions) -> Selection:
     """Dispatch to the algorithm named in ``opts.algorithm``."""
-    return _PLACERS[opts.algorithm](psi, num_sensors, opts)
+    return _PLACERS[opts.algorithm].run(psi, num_sensors, opts)

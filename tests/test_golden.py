@@ -6,7 +6,8 @@ The files under ``tests/data`` hold, at ``master_seed=0``:
   ``sweep_mse`` (the script's MSE data lines carry no wall time);
 - the CSVs of the benchmark's audit config;
 - the CSVs of an audit whose second cell exceeds the enumeration guard,
-  which covers the ``nan`` columns, the empty flags and the status text;
+  which covers its ``nan`` optima, delta and eta, its empty gamma flag, the
+  certificates it still reports and the status text;
 - ``BoundsReport.to_text()`` of one fixed instance.
 
 Wall-time columns are stripped, since they differ between runs. A refactor

@@ -24,6 +24,7 @@ from framesense import (
     compute_bounds_report,
     delta_bound,
     exhaustive_oracle,
+    fp_approx_factor,
     frame_potential,
     generate,
     mse,
@@ -565,6 +566,32 @@ class TestOracleAudit:
             sel = run_placement(matrix, l, PlacementOptions(normalize_rows=False))
             assert compute_bounds_report(matrix, l, sel.chosen).delta == row.report.delta
 
+    def test_a_skipped_cell_misses_only_what_the_walk_gives(self, monkeypatch):
+        # at a guard of C(10, 4) = 210, L = 5 skips: its row is the walked
+        # row except for the optima, delta, eta, the gamma check and status
+        import framesense.linalg
+
+        cfg = small_cfg(n=10, k=3, l_values=(4, 5, 6), trials=2, normalize_rows=False)
+        columns = AUDIT_CSV_HEADER.split(",")
+
+        def audit_rows():
+            return [dict(zip(columns, csv_row(row).split(","))) for row in oracle_audit(cfg).rows]
+
+        walked = audit_rows()
+        monkeypatch.setattr(framesense.linalg, "ORACLE_SUBSET_LIMIT", math.comb(10, 4))
+        guarded = audit_rows()
+        walk_only = {"delta": "nan", "eta": "nan", "fp_opt": "nan", "mse_opt": "nan",
+                     "fp_within_gamma": "", "status": "skipped: C(10;5) exceeds enumeration guard"}
+        assert [row["L"] for row in guarded] == ["4", "5", "6"] * 2
+        for full, row in zip(walked, guarded):
+            assert full["status"] == "ok"
+            if row["L"] != "5":
+                assert row == full
+                continue
+            assert {c: row[c] for c in walk_only} == walk_only
+            assert {c: row[c] for c in columns if c not in walk_only} == \
+                {c: full[c] for c in columns if c not in walk_only}
+
     def test_optima_and_delta_match_standalone_calls(self):
         cfg = small_cfg(n=10, k=3, l_values=(3, 5, 8), trials=3, normalize_rows=False)
         for row in oracle_audit(cfg).rows:
@@ -622,7 +649,9 @@ class TestOracleAudit:
         assert row.status.startswith("skipped")
         assert "," not in row.status
         assert row.fp_within_gamma is None
-        assert math.isnan(row.report.gamma)
+        matrix = generate(GeneratorSpec("gaussian", 40, 3, seed=row.seed))
+        assert row.report.gamma == fp_approx_factor(matrix, 20)
+        assert math.isnan(row.fp_opt)
         info = table.summary()
         assert info["skipped"] == 1
         assert math.isnan(info["max_fp_ratio"])

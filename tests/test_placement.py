@@ -32,7 +32,7 @@ from framesense import (
     run_placement,
 )
 from framesense.linalg import ConvergenceError
-from framesense.placement import _PAIR_BLOCK_ENTRIES, _SENSOR_RANGES, _ridge
+from framesense.placement import _PAIR_BLOCK_ENTRIES, _PLACERS, _ridge
 
 from _oracles import (
     _det_and_inverse,
@@ -812,7 +812,7 @@ class TestOptionsAndDispatch:
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_each_placer_accepts_exactly_its_sensor_range(self, algo):
         psi = random_instance(124, n=9, k=3)
-        low, high = _SENSOR_RANGES[algo](9, 3)
+        low, high = _PLACERS[algo].sensors(9, 3)
         opts = PlacementOptions(algorithm=algo)
         for l in (low, high):
             assert len(run_placement(psi, l, opts).chosen) == l
