@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _check_range,
     _check_sensor_count,
     _enumerable,
     _integer,
@@ -97,11 +98,14 @@ def l_min_max(psi, num_sensors: int):
 
     Returns ``(l_min, l_max, l_mean)`` where ``l_min``/``l_max`` are the sums
     of the ``num_sensors`` smallest/largest squared row norms and ``l_mean``
-    is ``num_sensors / N`` times the total energy.
+    is ``num_sensors / N`` times the total energy. Rows whose Gram matrix
+    fails the range rule of :func:`~framesense.linalg.gram` raise
+    ValueError.
     """
     m = as_sensing_matrix(psi)
     _check_sensor_count("l_min_max", num_sensors, 1, m.n, m.shape)
-    sq = np.sort(m.row_norms**2)
+    with np.errstate(over="ignore"):
+        sq = _check_range(np.sort(m.row_norms**2))
     l_min = float(np.sum(sq[:num_sensors]))
     l_max = float(np.sum(sq[m.n - num_sensors :]))
     l_mean = num_sensors / m.n * float(np.sum(sq))
@@ -112,14 +116,17 @@ def fp_approx_factor(psi, num_sensors: int) -> float:
     """Multiplicative factor bounding greedy frame potential against the optimum.
 
     Computed as ``1 + (FP(psi) * K / l_min**2 - 1) / e`` on the original,
-    un-normalized matrix. Always at least 1.
+    un-normalized matrix. Always at least 1. Raises ValueError when the
+    matrix fails the range rule of :func:`~framesense.linalg.frame_potential`,
+    or when ``l_min**2`` is zero: zero rows, or rows so small beside the
+    others that the square underflows.
     """
     m = as_sensing_matrix(psi)
     _check_sensor_count("fp_approx_factor", num_sensors, m.k, m.n, m.shape)
-    l_min, _, _ = l_min_max(m, num_sensors)
-    if l_min <= 0.0:
-        raise ValueError("zero rows make the approximation factor undefined")
     fp = frame_potential(m)
+    l_min, _, _ = l_min_max(m, num_sensors)
+    if not l_min * l_min > 0.0:
+        raise ValueError("zero rows make the approximation factor undefined")
     return 1.0 + (fp * m.k / l_min**2 - 1.0) / math.e
 
 
@@ -150,8 +157,11 @@ def mse_envelope(psi, sel, l_min: float, l_max: float):
     ``lower = (K / l_max) * FP(sel) / lambda_max**2`` and
     ``upper = (K / l_min) * FP(sel) / lambda_min**2`` where the lambdas are
     the extreme eigenvalues of the selection's Gram matrix. A rank-deficient
-    selection yields an infinite upper bound; a fully degenerate one yields
-    an infinite bracket.
+    selection yields an infinite upper bound, and so does one whose
+    ``lambda_min**2`` underflows float64; a fully degenerate one yields an
+    infinite bracket. A selection that fails the range rule of
+    :func:`~framesense.linalg.frame_potential` raises ValueError; no finite
+    input raises ZeroDivisionError or OverflowError.
     """
     m = as_sensing_matrix(psi)
     l_min, l_max = _real("l_min", l_min), _real("l_max", l_max)
@@ -164,7 +174,7 @@ def mse_envelope(psi, sel, l_min: float, l_max: float):
     if largest <= 0.0:
         return math.inf, math.inf
     lower = (m.k / l_max) * fp_sel / largest**2
-    if _rank_lost(lam):
+    if _rank_lost(lam) or smallest**2 == 0.0:
         return lower, math.inf
     upper = (m.k / l_min) * fp_sel / smallest**2
     return lower, upper
@@ -177,10 +187,17 @@ def delta_bound(psi, num_sensors: int) -> float:
     :func:`~framesense.placement.exhaustive_oracle` and audits share, with
     one gather, Gram product and ``eigvalsh`` call per subset, and returns
     the largest absolute deviation of any eigenvalue from ``l_mean / K``.
-    Minimal by construction. Instances with more than
-    :data:`~framesense.linalg.ORACLE_SUBSET_LIMIT` subsets, the guard
-    the exhaustive oracles share, are refused, and so are matrices whose
-    subset Gram matrices could overflow float64.
+    Minimal by construction.
+
+    Raises
+    ------
+    ValueError
+        On instances with more than
+        :data:`~framesense.linalg.ORACLE_SUBSET_LIMIT` subsets, the guard
+        the exhaustive oracles share, and on matrices whose
+        ``num_sensors`` rows of largest norm fail the range rule of
+        :func:`~framesense.linalg.gram`, which bounds every subset's Gram
+        matrix.
     """
     m = as_sensing_matrix(psi)
     _check_sensor_count("delta_bound", num_sensors, 1, m.n, m.shape)

@@ -5,7 +5,8 @@ Subcommands: ``place`` selects sensors for one matrix and prints the result;
 and write CSV outputs; ``matgen`` materializes a test matrix to disk.
 Constraint violations (bad dimensions, unknown names, malformed files) and
 the documented numeric failures (a ridge or a conditional variance that
-overflows, an eigenvalue solver that does not converge) exit with status 2;
+overflows, a Gram matrix or frame potential that overflows or underflows
+float64, an eigenvalue solver that does not converge) exit with status 2;
 anything else nonzero is a bug.
 """
 
@@ -93,9 +94,11 @@ def _cmd_place(args) -> int:
     )
     selection = run_placement(matrix, args.sensors, opts)
     chosen = sorted(selection.chosen)
+    # both values first, so a refused one leaves no partial output behind
+    fp, error = frame_potential(matrix, chosen), mse(matrix, chosen, args.sigma2)
     print("chosen:", " ".join(str(i + 1) for i in chosen))
-    print("fp:", FLOAT_FMT % frame_potential(matrix, chosen))
-    print("mse:", FLOAT_FMT % mse(matrix, chosen, args.sigma2))
+    print("fp:", FLOAT_FMT % fp)
+    print("mse:", FLOAT_FMT % error)
     return 0
 
 

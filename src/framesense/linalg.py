@@ -137,15 +137,21 @@ def gram(psi, sel) -> np.ndarray:
     psi : SensingMatrix or array_like
         Candidate row matrix, N x K.
     sel : iterable of int
-        Distinct row indices in [0, N).
+        Distinct row indices in [0, N); None selects every row.
 
     Returns
     -------
     numpy.ndarray
         The K x K float64 array ``Psi_sel.T @ Psi_sel``.
+
+    Raises
+    ------
+    ValueError
+        If the selected rows fail the range rule (:func:`_check_range`):
+        the sum E of their squared norms, which bounds every Gram entry,
+        must be 0 or lie in [2**-1022, inf).
     """
-    m = as_sensing_matrix(psi)
-    block = m.entries[_selection_indices(sel, m.n)]
+    block = _selected(psi, sel)
     return block.T @ block
 
 
@@ -196,10 +202,25 @@ def frame_potential(psi, sel=None) -> float:
     """Frame potential of the selected rows.
 
     The sum of squared pairwise inner products over the selection, diagonal
-    terms included. ``sel=None`` uses every row.
+    terms included. ``sel=None`` uses every row. Rows that fail the range
+    rule (:func:`_check_range`) raise ValueError: with E the sum of their
+    squared norms, the frame potential is at most E**2, and 2 E**2 must be
+    0 or lie in [2**-1022, inf).
+    """
+    return _frame_potential(_selected(psi, sel, fp=True))
+
+
+def _selected(psi, sel, fp: bool = False) -> np.ndarray:
+    """The rows of ``psi`` that ``sel`` picks, every row for None, once they pass the range rule.
+
+    The rule (:func:`_check_range`) is checked for their Gram matrix, or
+    with ``fp`` for their frame potential. Serves :func:`gram`,
+    :func:`frame_potential` and :func:`least_squares`.
     """
     m = as_sensing_matrix(psi)
-    return _frame_potential(m.entries if sel is None else m.entries[_selection_indices(sel, m.n)])
+    block = m.entries if sel is None else m.entries[_selection_indices(sel, m.n)]
+    _check_range(np.einsum("ij,ij->i", block, block), fp)
+    return block
 
 
 def _frame_potential(block, g=None) -> float:
@@ -223,6 +244,8 @@ def mse(psi, sel, sigma2=1.0) -> float:
     Gram matrix. Returns :data:`UNBOUNDED` (IEEE infinity) when the Gram
     matrix is rank deficient, i.e. when any eigenvalue falls below
     ``RANK_RTOL`` times the largest one; callers must handle that marker.
+    The Gram matrix is :func:`gram`'s, so rows that fail its range rule
+    raise ValueError.
 
     Parameters
     ----------
@@ -287,8 +310,9 @@ def _check_sensor_count(who: str, num_sensors, low: int, high: int, shape) -> No
     ``shape`` is the (N, K) of the matrix the range belongs to.
     """
     if not low <= _integer(f"{who} sensor count", num_sensors) <= high:
-        raise ValueError(f"{who} needs a sensor count in [{low}, {high}] for a "
-                         f"{shape[0]} x {shape[1]} matrix, got {num_sensors}")
+        span = f" in [{low}, {high}]" if low <= high else " but accepts none"
+        raise ValueError(f"{who} needs a sensor count{span} for a {shape[0]} x {shape[1]} "
+                         f"matrix, got {num_sensors}")
 
 
 def _enumerable(n: int, size: int) -> bool:
@@ -297,6 +321,26 @@ def _enumerable(n: int, size: int) -> bool:
     Reads :data:`ORACLE_SUBSET_LIMIT` at call time.
     """
     return math.comb(n, size) <= ORACLE_SUBSET_LIMIT
+
+
+def _check_range(energies, fp: bool = False):
+    """``energies``, once rows with these squared norms pass the range rule; else ValueError.
+
+    The one rule of whether a row set's Gram matrix, or with ``fp`` its
+    frame potential, fits float64. With E the sum of ``energies``, every
+    Gram entry is at most E in magnitude and the frame potential at most
+    E**2. The rule asks E, or with ``fp`` 2 E**2, to lie in [2**-1022,
+    inf), from the smallest normal float64 on: the factor 2 is the room
+    framesense's gains need, which reach twice the frame potential. Rows
+    that are all zero (E = 0) pass.
+    """
+    with np.errstate(over="ignore"):
+        energy = float(np.sum(energies))
+    bound = 2.0 * energy * energy if fp else energy
+    if energy > 0.0 and not math.ldexp(1.0, -1022) <= bound < math.inf:
+        raise ValueError(f"{'frame potential' if fp else 'Gram matrix'} of the rows "
+                         f"{'over' if energy > 1.0 else 'under'}flows float64; rescale the matrix")
+    return energies
 
 
 def _rank_lost(lam) -> bool:
@@ -340,20 +384,17 @@ def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
     ------
     ValueError
         If there are more than :data:`ORACLE_SUBSET_LIMIT` subsets (the
-        enumeration guard, :func:`_enumerable`), or
-        if a subset's Gram matrix (``spectrum``) or frame potential (``fp``)
-        could overflow float64.
+        enumeration guard, :func:`_enumerable`), or if the ``size`` rows
+        of largest norm, whose energy no subset exceeds, fail the range
+        rule (:func:`_check_range`) for a frame potential (``fp``) or
+        else a Gram matrix.
     """
     if not _enumerable(m.n, size):
         raise ValueError(f"C({m.n}, {size}) = {math.comb(m.n, size)} subsets exceeds the "
                          f"enumeration guard of {ORACLE_SUBSET_LIMIT}")
     e = m.entries
-    # Every entry of a subset's Gram matrix is at most the sum of its squared
-    # row norms in magnitude, and its frame potential at most that sum squared.
-    top = float(np.sort(np.einsum("ij,ij->i", e, e))[m.n - size :].sum())
-    if not math.isfinite(top * top if fp else top):
-        what = "frame potentials" if fp else "Gram matrices"
-        raise ValueError(f"subset {what} overflow float64; rescale the matrix")
+    # no subset holds more energy than its size largest rows
+    _check_range(np.sort(np.einsum("ij,ij->i", e, e))[m.n - size :], fp)
     fp_best = mse_best = g = None
     low, high = math.inf, -math.inf
     for sub in combinations(range(m.n), size):
@@ -383,28 +424,27 @@ def least_squares(psi, sel, f) -> np.ndarray:
     Solves the selected block directly with ``numpy.linalg.lstsq`` (an SVD),
     so accuracy follows the block's condition number rather than its
     square, as forming the normal equations would. The measurement vector
-    ``f`` is ordered like ``sel``.
+    ``f`` is ordered like ``sel``; ``sel=None`` uses every row.
 
     Raises
     ------
     ValueError
-        If the selection's Gram matrix is rank deficient (an eigenvalue, i.e.
-        a squared singular value of the block, below ``RANK_RTOL`` times the
+        If the selected rows fail the range rule of :func:`gram`, the
+        selection's Gram matrix is rank deficient (an eigenvalue, i.e. a
+        squared singular value of the block, below ``RANK_RTOL`` times the
         largest), or the measurement length does not match the selection
         size.
     """
     m = as_sensing_matrix(psi)
-    idx = _selection_indices(sel, m.n)
+    block = _selected(m, sel)
     rhs = np.asarray(f, dtype=np.float64)
-    if rhs.shape != (idx.size,):
-        raise ValueError(
-            f"measurement vector has shape {rhs.shape}, expected ({idx.size},)"
-        )
+    if rhs.shape != (len(block),):
+        raise ValueError(f"measurement vector has shape {rhs.shape}, expected ({len(block)},)")
     if not np.isfinite(rhs).all():
         raise ValueError("measurements must all be finite")
-    solution, _, _, sv = np.linalg.lstsq(m.entries[idx], rhs, rcond=None)
+    solution, _, _, sv = np.linalg.lstsq(block, rhs, rcond=None)
     lam = sv**2
-    if idx.size < m.k or _rank_lost(lam):
+    if len(block) < m.k or _rank_lost(lam):
         raise ValueError("selection is rank deficient; parameters are not identifiable")
     return solution
 

@@ -43,7 +43,7 @@ import numpy as np
 
 # ORACLE_SUBSET_LIMIT is linalg's; imported so placement.ORACLE_SUBSET_LIMIT still reads it
 from .linalg import ORACLE_SUBSET_LIMIT, RANK_RTOL, ConvergenceError, as_sensing_matrix, row_normalize
-from .linalg import _check_positive, _check_seed, _check_sensor_count, _eigen, _flag, _frame_potential
+from .linalg import _check_positive, _check_range, _check_seed, _check_sensor_count, _eigen, _flag
 from .linalg import _walk_subsets
 from .seeding import philox_generator
 
@@ -212,8 +212,8 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
         unbounded.
     opts : PlacementOptions, optional
         ``normalize_rows`` (default on) runs the selection on a unit-norm
-        copy. Unnormalized rows whose squared absolute inner products sum
-        past float64 raise ValueError.
+        copy. Unnormalized rows whose frame potential fails the range rule
+        of :func:`~framesense.linalg.frame_potential` raise ValueError.
 
     Returns
     -------
@@ -229,14 +229,9 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     n = m.n
     w = (row_normalize(m) if opts.normalize_rows else m).entries
     # every product, gain and rounding bound below is at most twice the
-    # frame potential of |w|, the squared Frobenius norm of |w|^T |w|
-    with np.errstate(over="ignore"):
-        if not math.isfinite(2.0 * _frame_potential(np.abs(w))):
-            raise ValueError(
-                "frame potential of the rows overflows float64; rescale the matrix "
-                "or normalize its rows"
-            )
-    diag2 = np.einsum("ij,ij->i", w, w) ** 2
+    # frame potential of |w|, at most 2 E**2 for E the rows' energy, which
+    # the range rule keeps in float64
+    diag2 = _check_range(np.einsum("ij,ij->i", w, w), fp=True) ** 2
 
     first, second = _most_parallel_pair(w)
     eliminated = [first, second]
@@ -588,15 +583,22 @@ def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
     :func:`framesense.linalg.mse`. The optimum's value is what
     :func:`framesense.linalg.frame_potential` or
     :func:`framesense.linalg.mse` returns for that subset, bit for bit, and
-    no N x N array is formed. Refuses instances with more than
-    :data:`~framesense.linalg.ORACLE_SUBSET_LIMIT` subsets, and matrices
-    whose subset frame potentials (``"fp"``) or Gram matrices (``"mse"``)
-    could overflow float64.
+    no N x N array is formed.
 
     Returns
     -------
     (Selection, float)
         The optimal subset (ascending) and its objective value.
+
+    Raises
+    ------
+    ValueError
+        On instances with more than
+        :data:`~framesense.linalg.ORACLE_SUBSET_LIMIT` subsets, and on
+        matrices whose ``num_sensors`` rows of largest norm fail the range
+        rule of :func:`framesense.linalg.frame_potential` (``"fp"``) or
+        :func:`framesense.linalg.gram` (``"mse"``), which bounds every
+        subset's value.
     """
     m = as_sensing_matrix(psi)
     n = m.n

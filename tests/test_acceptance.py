@@ -239,8 +239,10 @@ def test_criterion_09_incremental_and_naive_eliminations_agree_on_50_instances()
 
 
 def _cli(*args):
+    # unguarded inf or NaN arithmetic fails the run, as pyproject makes it fail the suite
     proc = subprocess.run(
-        [sys.executable, "-m", "framesense", *args], capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "framesense", *args],
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

@@ -153,6 +153,14 @@ class TestMseEnvelope:
         assert math.isfinite(lower)
         assert math.isinf(upper)
 
+    def test_underflowing_smallest_square_reads_infinite_upper(self):
+        # the frame potential passes the range rule and the rank is kept
+        # (ratio 3.3e-10), but lambda_min**2 = 1.6e-327 underflows to 0
+        psi = np.diag([1.1e-77, 2e-82])
+        lower, upper = mse_envelope(psi, (0, 1), 1.0, 1.0)
+        assert math.isfinite(lower) and upper == math.inf
+        assert math.isfinite(mse(psi, (0, 1)))
+
     def test_degenerate_selection_is_fully_infinite(self):
         psi = np.array([[0.0, 0.0], [1.0, 1.0]])
         lower, upper = mse_envelope(psi, (0,), 1.0, 2.0)

@@ -14,8 +14,10 @@ from framesense import FAMILIES, generate, GeneratorSpec, load_matrix, save_matr
 
 
 def run_cli(*args, check=True, env=None):
+    # as in pyproject's filterwarnings: inf or NaN arithmetic that nothing
+    # guards fails the run instead of printing a warning
     proc = subprocess.run(
-        [sys.executable, "-m", "framesense", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "framesense", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -272,6 +274,32 @@ class TestAuditCommand:
         assert proc.returncode == 2
         assert "matrix_csv" in proc.stderr
         assert not (tmp_path / "a_raw.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-mse", "place", "audit"])
+def test_row_set_outside_float64_exits_2(tmp_path, command):
+    # a frame potential past float64 (x1e80) or below its smallest normal
+    # (x1e-90) is refused before anything is printed or written
+    base = np.random.default_rng(0).standard_normal((12, 3))
+    path = tmp_path / "m.csv"
+    save_matrix(path, base * 1e80)
+    out = str(tmp_path / "out")
+    if command == "place":
+        args = ("place", "--matrix", str(path), "--sensors", "4")
+        want = "overflows"
+    elif command == "sweep-mse":
+        cfg = write_cfg(tmp_path, matrix_csv=str(path), l_values=[4], trials=1,
+                        algorithms=["framesense", "det", "random"])
+        args, want = ("sweep-mse", "--config", cfg, "--out", out), "overflows"
+    else:
+        cfg = write_cfg(tmp_path, family="gaussian", n=12, k=3, l_values=[4], trials=1,
+                        normalize_rows=False, entry_scale=1e-90)
+        args, want = ("audit", "--config", cfg, "--out", out), "underflows"
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: frame potential of the rows {want} float64; rescale the matrix\n"
+    assert proc.stdout == ""
+    assert not list(tmp_path.glob("out*"))
 
 
 class TestMatgenCommand:

@@ -1,5 +1,6 @@
 """Dense-numerics layer: Gram matrices, eigenvalues, FP, MSE."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,23 +10,29 @@ import pytest
 from framesense import (
     ConvergenceError,
     GeneratorSpec,
+    PlacementOptions,
     RANK_RTOL,
     SensingMatrix,
     UNBOUNDED,
     as_sensing_matrix,
     coherence,
+    compute_bounds_report,
     delta_bound,
+    exhaustive_oracle,
+    fp_approx_factor,
     frame_potential,
+    framesense,
     generate,
     gram,
     l_min_max,
     least_squares,
     mse,
+    mse_envelope,
     row_normalize,
     sym_eigenvalues,
 )
 
-from framesense.linalg import _walk_subsets
+from framesense.linalg import _check_range, _walk_subsets
 
 from _oracles import (
     eig_oracle,
@@ -477,3 +484,61 @@ class TestWalkSubsets:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(ConvergenceError):
             _walk_subsets(as_sensing_matrix(MB), 2, fp=False, spectrum=True)
+
+
+def _range_cases():
+    base = np.random.default_rng(0).standard_normal((12, 3))
+    mixed = base.copy()
+    mixed[1:] *= 1e-90  # E is normal, but l_min**2 underflows
+    return [pytest.param(base * s, id=f"x{s:g}") for s in (1e-90, 1e80, 1e160)] + [
+        pytest.param(mixed, id="mixed")
+    ]
+
+
+class TestRangeRule:
+    @pytest.mark.parametrize("psi", _range_cases())
+    def test_every_value_is_finite_or_refused(self, psi):
+        # each call returns finite values or raises ValueError; an inf, a NaN,
+        # another exception or a RuntimeWarning (an error under pyproject's
+        # filterwarnings) fails
+        sel = [1, 2, 3, 4]
+        calls = {
+            "gram": lambda: gram(psi, sel),
+            "frame_potential": lambda: frame_potential(psi, sel),
+            "mse": lambda: mse(psi, sel),
+            "least_squares": lambda: least_squares(psi, sel, np.ones(4)),
+            "l_min_max": lambda: l_min_max(psi, 4),
+            "fp_approx_factor": lambda: fp_approx_factor(psi, 4),
+            "mse_envelope": lambda: mse_envelope(psi, sel, 1.0, 2.0),
+            "compute_bounds_report": lambda: dataclasses.astuple(
+                compute_bounds_report(psi, 4, sel)),
+            "framesense": lambda: framesense(
+                psi, 4, PlacementOptions(normalize_rows=False)).objective_trace,
+            "oracle_fp": lambda: exhaustive_oracle(psi, 4, "fp")[1],
+            "oracle_mse": lambda: exhaustive_oracle(psi, 4, "mse")[1],
+        }
+        for name, call in calls.items():
+            try:
+                values = np.asarray(call(), dtype=np.float64)
+            except ValueError as exc:
+                assert "float64" in str(exc) or "zero rows" in str(exc), name
+                continue
+            assert np.isfinite(values).all(), name
+
+    def test_bounds_and_messages(self):
+        big = math.sqrt(np.finfo(np.float64).max)
+        # E**2 fits, but 2 E**2, the room framesense's gains need, does not
+        with pytest.raises(ValueError, match="^frame potential of the rows overflows float64"):
+            _check_range([0.8 * big], fp=True)
+        _check_range([0.7 * big], fp=True)
+        with pytest.raises(ValueError, match="^Gram matrix of the rows overflows float64"):
+            _check_range([np.finfo(np.float64).max, np.finfo(np.float64).max])
+        tiny = np.finfo(np.float64).tiny
+        _check_range([tiny])
+        with pytest.raises(ValueError, match="^Gram matrix of the rows underflows float64"):
+            _check_range([tiny / 2])
+        with pytest.raises(ValueError, match="^frame potential of the rows underflows float64"):
+            _check_range([1e-160], fp=True)
+        # all-zero rows fit: their Gram matrix and frame potential are exactly 0
+        _check_range(np.zeros(3), fp=True)
+        assert frame_potential(np.zeros((3, 2)), [0, 1]) == 0.0

@@ -821,6 +821,12 @@ class TestOptionsAndDispatch:
             with pytest.raises(ValueError, match=want):
                 run_placement(psi, l, opts)
 
+    def test_empty_sensor_range_says_none_is_accepted(self):
+        # framesense eliminates a pair first, so a 2-row matrix has no count
+        want = r"^framesense needs a sensor count but accepts none for a 2 x 2 matrix, got 1$"
+        with pytest.raises(ValueError, match=want):
+            framesense(np.eye(2), 1)
+
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_run_placement_dispatch(self, algo):
         psi = random_instance(123, n=9, k=3)
