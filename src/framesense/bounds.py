@@ -118,8 +118,10 @@ def fp_approx_factor(psi, num_sensors: int) -> float:
     Computed as ``1 + (FP(psi) * K / l_min**2 - 1) / e`` on the original,
     un-normalized matrix. Always at least 1. Raises ValueError when the
     matrix fails the range rule of :func:`~framesense.linalg.frame_potential`,
-    or when ``l_min**2`` is zero: zero rows, or rows so small beside the
-    others that the square underflows.
+    when ``l_min**2`` is zero (zero rows, or rows so small beside the
+    others that the square underflows), or when the factor itself passes
+    float64, as it can for rows of very different norms: it does not
+    change when the whole matrix is scaled, only when its rows are.
     """
     m = as_sensing_matrix(psi)
     _check_sensor_count("fp_approx_factor", num_sensors, m.k, m.n, m.shape)
@@ -127,7 +129,10 @@ def fp_approx_factor(psi, num_sensors: int) -> float:
     l_min, _, _ = l_min_max(m, num_sensors)
     if not l_min * l_min > 0.0:
         raise ValueError("zero rows make the approximation factor undefined")
-    return 1.0 + (fp * m.k / l_min**2 - 1.0) / math.e
+    gamma = 1.0 + (fp * m.k / l_min**2 - 1.0) / math.e
+    if gamma == math.inf:
+        raise ValueError("approximation factor of the rows overflows float64; rescale the rows")
+    return gamma
 
 
 def mse_approx_factor(gamma: float, d: float, delta: float, l_min: float, l_max: float) -> float:
@@ -194,10 +199,12 @@ def delta_bound(psi, num_sensors: int) -> float:
     ValueError
         On instances with more than
         :data:`~framesense.linalg.ORACLE_SUBSET_LIMIT` subsets, the guard
-        the exhaustive oracles share, and on matrices whose
-        ``num_sensors`` rows of largest norm fail the range rule of
-        :func:`~framesense.linalg.gram`, which bounds every subset's Gram
-        matrix.
+        the exhaustive oracles share, on matrices whose ``num_sensors``
+        rows of largest norm, or of least norm (the least nonzero row when
+        those are all zero), fail the range rule of
+        :func:`~framesense.linalg.gram`, which then bounds every subset's
+        Gram matrix, and when a subset's MSE, which the shared walk takes,
+        passes float64 as in :func:`~framesense.linalg.mse`.
     """
     m = as_sensing_matrix(psi)
     _check_sensor_count("delta_bound", num_sensors, 1, m.n, m.shape)

@@ -6,7 +6,8 @@ and write CSV outputs; ``matgen`` materializes a test matrix to disk.
 Constraint violations (bad dimensions, unknown names, malformed files) and
 the documented numeric failures (a ridge or a conditional variance that
 overflows, a Gram matrix or frame potential that overflows or underflows
-float64, an eigenvalue solver that does not converge) exit with status 2;
+float64, an MSE or approximation factor that overflows float64, an
+eigenvalue solver that does not converge) exit with status 2;
 anything else nonzero is a bug.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import replace
 from .linalg import ConvergenceError, as_sensing_matrix, frame_potential, mse
 from .matgen import FAMILIES, GeneratorSpec, generate
 from .matio import FLOAT_FMT, load_matrix, save_matrix
-from .placement import ALGORITHMS, CovarianceConditioningError, PlacementOptions, run_placement
+from .placement import ALGORITHMS, PlacementOptions, run_placement
 
 __all__ = ["main"]
 
@@ -146,7 +147,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, IndexError, OSError, CovarianceConditioningError, ConvergenceError) as exc:
+    except (ValueError, IndexError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,6 +42,10 @@ _MIN_ROW_NORM = 1e-12
 # Subset walks refuse to enumerate more subsets than this.
 ORACLE_SUBSET_LIMIT = 10_000_000
 
+# An MSE sums K reciprocals of at most 1 / lambda_min each, so it stays
+# below half the largest float64 once lambda_min is at least K times this.
+_MSE_FLOOR = 2.0 / np.finfo(np.float64).max
+
 
 class ConvergenceError(RuntimeError):
     """The LAPACK eigenvalue routine failed to converge."""
@@ -245,7 +249,9 @@ def mse(psi, sel, sigma2=1.0) -> float:
     matrix is rank deficient, i.e. when any eigenvalue falls below
     ``RANK_RTOL`` times the largest one; callers must handle that marker.
     The Gram matrix is :func:`gram`'s, so rows that fail its range rule
-    raise ValueError.
+    raise ValueError, and so does a full-rank spectrum whose MSE may pass
+    float64 (smallest eigenvalue below K times 2 / the largest float64),
+    so UNBOUNDED always means lost rank.
 
     Parameters
     ----------
@@ -353,9 +359,15 @@ def _rank_lost(lam) -> bool:
 
 
 def _unit_mse(lam) -> float:
-    """Unit-variance MSE from a descending Gram spectrum, or UNBOUNDED."""
+    """Unit-variance MSE from a descending Gram spectrum, or UNBOUNDED.
+
+    A full-rank spectrum whose MSE may pass float64 raises ValueError, so
+    an MSE read as infinite always means lost rank.
+    """
     if _rank_lost(lam):
         return UNBOUNDED
+    if lam[-1] < lam.size * _MSE_FLOOR:
+        raise ValueError("MSE of the rows overflows float64; rescale the matrix")
     return float((1.0 / lam).sum())
 
 
@@ -384,17 +396,24 @@ def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
     ------
     ValueError
         If there are more than :data:`ORACLE_SUBSET_LIMIT` subsets (the
-        enumeration guard, :func:`_enumerable`), or if the ``size`` rows
-        of largest norm, whose energy no subset exceeds, fail the range
-        rule (:func:`_check_range`) for a frame potential (``fp``) or
-        else a Gram matrix.
+        enumeration guard, :func:`_enumerable`); if the ``size`` rows of
+        largest norm, whose energy no subset exceeds, or the ``size`` of
+        least norm (the least nonzero row when those are all zero), whose
+        energy no subset with any falls below, fail the range rule
+        (:func:`_check_range`) for a frame potential (``fp``) or else a
+        Gram matrix; or if a subset's MSE passes float64, as in
+        :func:`mse`.
     """
     if not _enumerable(m.n, size):
         raise ValueError(f"C({m.n}, {size}) = {math.comb(m.n, size)} subsets exceeds the "
                          f"enumeration guard of {ORACLE_SUBSET_LIMIT}")
     e = m.entries
-    # no subset holds more energy than its size largest rows
-    _check_range(np.sort(np.einsum("ij,ij->i", e, e))[m.n - size :], fp)
+    energies = np.sort(np.einsum("ij,ij->i", e, e))
+    # no subset holds more energy than its size largest rows, and none with
+    # nonzero energy less than its size smallest or, when those are all
+    # zero, its smallest nonzero row
+    _check_range(energies[m.n - size :], fp)
+    _check_range(energies[:size] if energies[size - 1] > 0.0 else energies[energies > 0.0][:1], fp)
     fp_best = mse_best = g = None
     low, high = math.inf, -math.inf
     for sub in combinations(range(m.n), size):

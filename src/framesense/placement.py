@@ -41,15 +41,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# ORACLE_SUBSET_LIMIT is linalg's; imported so placement.ORACLE_SUBSET_LIMIT still reads it
-from .linalg import ORACLE_SUBSET_LIMIT, RANK_RTOL, ConvergenceError, as_sensing_matrix, row_normalize
+from .linalg import RANK_RTOL, as_sensing_matrix, row_normalize
 from .linalg import _check_positive, _check_range, _check_seed, _check_sensor_count, _eigen, _flag
 from .linalg import _walk_subsets
 from .seeding import philox_generator
 
 __all__ = [
     "ALGORITHMS",
-    "CovarianceConditioningError",
     "PlacementOptions",
     "Selection",
     "exhaustive_oracle",
@@ -112,10 +110,6 @@ _RESCORE_RATIO = 1e-3
 
 # Entries of the one row block the first-pair search reuses (1 MiB).
 _PAIR_BLOCK_ENTRIES = 2**17
-
-
-class CovarianceConditioningError(RuntimeError):
-    """A conditional variance of the mutual-information greedy is not positive and finite."""
 
 
 @dataclass(frozen=True)
@@ -483,9 +477,9 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
     chosen rows, the latter ``(sigma2 + ridge q) / (1 - q)`` with G that of
     the free rows. No N x N covariance is formed; each step takes two K x K
     eigenbases, O(N K^2), and memory stays O(N K). The ridge is that of
-    :func:`greedy_det`. A conditional variance that is not positive and
-    finite, a ridge that overflows float64, or a LAPACK failure raises
-    CovarianceConditioningError.
+    :func:`greedy_det`, and so are its failures: a ridge that overflows
+    float64 raises ValueError, and a LAPACK failure ConvergenceError. A
+    conditional variance that is not positive and finite raises ValueError.
     """
     m = as_sensing_matrix(psi)
     opts = opts or PlacementOptions(algorithm="mi")
@@ -493,10 +487,7 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
     n = m.n
     with np.errstate(over="ignore"):
         norms2 = np.einsum("ij,ij->i", m.entries, m.entries)
-    try:
-        ridge = _ridge(norms2)
-    except ValueError as exc:
-        raise CovarianceConditioningError(f"conditioning failed: {exc}") from exc
+    ridge = _ridge(norms2)
     sigma2 = opts.sigma2
     s = sigma2 + ridge
     e = m.entries
@@ -513,16 +504,13 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
             denom = (sigma2 + ridge * q) / (1.0 - q)
         bad = np.flatnonzero(~((0.0 < numer) & (numer < np.inf) & (0.0 < denom) & (denom < np.inf)))
         if bad.size:
-            raise CovarianceConditioningError(
+            raise ValueError(
                 f"conditional variance at location {int(free[bad[0]])} is not positive and finite"
             )
         values = numer / denom
         return values, float(values.max())
 
-    try:
-        return _best_in(n, num_sensors, objective)
-    except ConvergenceError as exc:
-        raise CovarianceConditioningError(f"conditioning failed: {exc}") from exc
+    return _best_in(n, num_sensors, objective)
 
 
 def greedy_coherence(psi, num_sensors: int) -> Selection:
@@ -594,11 +582,13 @@ def exhaustive_oracle(psi, num_sensors: int, objective: str = "fp"):
     ------
     ValueError
         On instances with more than
-        :data:`~framesense.linalg.ORACLE_SUBSET_LIMIT` subsets, and on
-        matrices whose ``num_sensors`` rows of largest norm fail the range
-        rule of :func:`framesense.linalg.frame_potential` (``"fp"``) or
-        :func:`framesense.linalg.gram` (``"mse"``), which bounds every
-        subset's value.
+        :data:`~framesense.linalg.ORACLE_SUBSET_LIMIT` subsets, on
+        matrices whose ``num_sensors`` rows of largest norm, or of least
+        norm (the least nonzero row when those are all zero), fail the
+        range rule of :func:`framesense.linalg.frame_potential` (``"fp"``)
+        or :func:`framesense.linalg.gram` (``"mse"``), which then bounds
+        every subset's value, and (``"mse"``) when a subset's MSE passes
+        float64, as in :func:`framesense.linalg.mse`.
     """
     m = as_sensing_matrix(psi)
     n = m.n

@@ -97,6 +97,17 @@ class TestFpApproxFactor:
         with pytest.raises(ValueError):
             fp_approx_factor(MB, 1)
 
+    def test_factor_past_float64_raises(self):
+        # FP and l_min each fit float64, but K FP / l_min**2 does not, at
+        # any common scale of the rows
+        psi = np.random.default_rng(0).standard_normal((12, 3))
+        psi[0] *= 1e75
+        psi[1:] *= 1e-5
+        for scale in (1.0, 1e-60):
+            with pytest.raises(ValueError, match="^approximation factor of the rows overflows "
+                                                 "float64; rescale the rows$"):
+                fp_approx_factor(psi * scale, 4)
+
 
 class TestMseApproxFactor:
     def test_arithmetic_example(self):

@@ -19,7 +19,11 @@ def test_demos_found():
 def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # pyproject's filterwarnings rule, carried into the child: unguarded inf
+    # or NaN arithmetic and numpy deprecations fail the demo
+    warnings = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *warnings, str(demo)], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

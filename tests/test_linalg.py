@@ -327,6 +327,23 @@ class TestMse:
             with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
                 mse(np.eye(2), (0, 1), bad)
 
+    @pytest.mark.parametrize("diag", [
+        # the rank is kept (ratio 2e-10), but 1 / lambda_min = 5e316
+        [math.sqrt(1e-307), math.sqrt(2e-317)],
+        # each 1 / lambda = 1.25e308 fits, but their sum does not
+        [math.sqrt(8e-309)] * 3,
+    ], ids=["reciprocal", "sum"])
+    def test_full_rank_mse_past_float64_raises(self, diag):
+        # the Gram matrix passes the range rule; an inf MSE would read as
+        # the UNBOUNDED marker of lost rank
+        psi = np.diag(diag)
+        sel = range(len(diag))
+        msg = "^MSE of the rows overflows float64; rescale the matrix$"
+        with pytest.raises(ValueError, match=msg):
+            mse(psi, sel)
+        with pytest.raises(ValueError, match=msg):
+            exhaustive_oracle(psi, len(diag), "mse")
+
 
 class TestLeastSquares:
     def test_identity(self):
@@ -490,8 +507,11 @@ def _range_cases():
     base = np.random.default_rng(0).standard_normal((12, 3))
     mixed = base.copy()
     mixed[1:] *= 1e-90  # E is normal, but l_min**2 underflows
+    spread = base.copy()
+    spread[0] *= 1e75
+    spread[1:] *= 1e-5  # FP and l_min fit, but K FP / l_min**2 does not
     return [pytest.param(base * s, id=f"x{s:g}") for s in (1e-90, 1e80, 1e160)] + [
-        pytest.param(mixed, id="mixed")
+        pytest.param(mixed, id="mixed"), pytest.param(spread, id="spread")
     ]
 
 
@@ -524,6 +544,22 @@ class TestRangeRule:
                 assert "float64" in str(exc) or "zero rows" in str(exc), name
                 continue
             assert np.isfinite(values).all(), name
+
+    def test_walk_checks_its_least_subset_energy(self):
+        # the 4 largest rows fit, but the frame potential of 4 rows at
+        # 1e-90 underflows, and those subsets would tie at 0.0
+        psi = np.random.default_rng(0).standard_normal((12, 3))
+        psi[1:] *= 1e-90
+        msg = "^frame potential of the rows underflows float64; rescale the matrix$"
+        with pytest.raises(ValueError, match=msg):
+            exhaustive_oracle(psi, 4, "fp")
+        # with zero rows among the 4 smallest, the smallest nonzero row decides
+        zeros = np.zeros((4, 3))
+        with pytest.raises(ValueError, match=msg):
+            exhaustive_oracle(np.vstack([zeros, psi]), 4, "fp")
+        # zero rows alone have a frame potential of exactly 0
+        sel, value = exhaustive_oracle(np.vstack([zeros, psi[:1]]), 4, "fp")
+        assert sel.chosen == (0, 1, 2, 3) and value == 0.0
 
     def test_bounds_and_messages(self):
         big = math.sqrt(np.finfo(np.float64).max)

@@ -12,7 +12,6 @@ import pytest
 from framesense import (
     ALGORITHMS,
     FAMILIES,
-    CovarianceConditioningError,
     ORACLE_SUBSET_LIMIT,
     GeneratorSpec,
     PlacementOptions,
@@ -31,6 +30,7 @@ from framesense import (
     row_normalize,
     run_placement,
 )
+from framesense import placement
 from framesense.linalg import ConvergenceError
 from framesense.placement import _PAIR_BLOCK_ENTRIES, _PLACERS, _ridge
 
@@ -396,10 +396,20 @@ class TestGreedyMi:
         with pytest.raises(ValueError):
             greedy_mi(np.eye(3), 3)
 
-    def test_overflowing_gram_matrices_raise_conditioning_error(self):
-        psi = random_instance(47, n=8, k=3)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CovarianceConditioningError):
-            greedy_mi(psi * 1e160, 4)
+    def test_conditional_variance_past_range_raises_value_error(self, monkeypatch):
+        # rounding on rows far larger than sigma2 can bring a free row's q
+        # to 1, where its variance given the other free rows is infinite
+        k = 3
+
+        def saturated(g, shift, x):
+            y2 = np.zeros((len(x), k))
+            y2[:, 0] = 1.0
+            return np.ones(k), y2
+
+        monkeypatch.setattr(placement, "_eigen_step", saturated)
+        with pytest.raises(ValueError, match="^conditional variance at location 0 is not "
+                                             "positive and finite$"):
+            greedy_mi(random_instance(5, n=8, k=k), 4)
 
     def test_matches_naive_covariance_reference(self):
         for family in FAMILIES:
@@ -642,24 +652,22 @@ class TestSingleColumn:
             assert len(rand.chosen) == l and sorted(rand.chosen + rand.eliminated) == list(range(10))
 
 
-class TestLapackFailure:
-    """An eigen failure in the shared eigenbasis step reaches callers as the package's errors."""
+class TestEigenGreedyFailures:
+    """det, mse and mi share the ridge and the eigenbasis step, and fail alike."""
 
-    @pytest.fixture(autouse=True)
-    def failing_eigh(self, monkeypatch):
+    @pytest.mark.parametrize("placer", [greedy_det, greedy_mse, greedy_mi])
+    def test_ridge_overflow_and_lapack_failure(self, placer, monkeypatch):
+        psi = random_instance(47, n=8, k=3)
+        with pytest.raises(ValueError, match=r"^ridge 1e-6 \* mean squared row norm overflows "
+                                             r"float64; rescale the matrix$"):
+            placer(psi * 1e160, 4)
+
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-
-    @pytest.mark.parametrize("placer", [greedy_det, greedy_mse])
-    def test_det_and_mse_raise_convergence_error(self, placer):
         with pytest.raises(ConvergenceError, match="did not converge"):
-            placer(random_instance(5, n=8, k=3), 4)
-
-    def test_mi_raises_conditioning_error(self):
-        with pytest.raises(CovarianceConditioningError, match="did not converge"):
-            greedy_mi(random_instance(5, n=8, k=3), 4)
+            placer(psi, 4)
 
 
 class TestRandomPlacement:
