@@ -396,6 +396,13 @@ class TestGreedyMi:
         with pytest.raises(ValueError):
             greedy_mi(np.eye(3), 3)
 
+    def test_overflowing_gram_matrices_raise_conditioning_error(self):
+        # the ridge overflow is the ValueError that det and mse raise too
+        psi = random_instance(47, n=8, k=3)
+        with pytest.raises(ValueError, match=r"^ridge 1e-6 \* mean squared row norm overflows "
+                                             r"float64; rescale the matrix$"):
+            greedy_mi(psi * 1e160, 4)
+
     def test_conditional_variance_past_range_raises_value_error(self, monkeypatch):
         # rounding on rows far larger than sigma2 can bring a free row's q
         # to 1, where its variance given the other free rows is infinite
@@ -652,22 +659,25 @@ class TestSingleColumn:
             assert len(rand.chosen) == l and sorted(rand.chosen + rand.eliminated) == list(range(10))
 
 
-class TestEigenGreedyFailures:
-    """det, mse and mi share the ridge and the eigenbasis step, and fail alike."""
+class TestLapackFailure:
+    """An eigen failure in the shared eigenbasis step reaches callers as ConvergenceError."""
 
-    @pytest.mark.parametrize("placer", [greedy_det, greedy_mse, greedy_mi])
-    def test_ridge_overflow_and_lapack_failure(self, placer, monkeypatch):
-        psi = random_instance(47, n=8, k=3)
-        with pytest.raises(ValueError, match=r"^ridge 1e-6 \* mean squared row norm overflows "
-                                             r"float64; rescale the matrix$"):
-            placer(psi * 1e160, 4)
-
+    @pytest.fixture(autouse=True)
+    def failing_eigh(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
+
+    @pytest.mark.parametrize("placer", [greedy_det, greedy_mse])
+    def test_det_and_mse_raise_convergence_error(self, placer):
         with pytest.raises(ConvergenceError, match="did not converge"):
-            placer(psi, 4)
+            placer(random_instance(5, n=8, k=3), 4)
+
+    def test_mi_raises_conditioning_error(self):
+        # mi raises the same ConvergenceError as det and mse
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            greedy_mi(random_instance(5, n=8, k=3), 4)
 
 
 class TestRandomPlacement:
