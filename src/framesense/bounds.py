@@ -190,9 +190,9 @@ def delta_bound(psi, num_sensors: int) -> float:
 
     Walks every size-``num_sensors`` subset in the lexicographic walk that
     :func:`~framesense.placement.exhaustive_oracle` and audits share, with
-    one gather, Gram product and ``eigvalsh`` call per subset, and returns
-    the largest absolute deviation of any eigenvalue from ``l_mean / K``.
-    Minimal by construction.
+    one gather, Gram product and ``eigvalsh`` call per subset and no MSE,
+    and returns the largest absolute deviation of any eigenvalue from
+    ``l_mean / K``. Minimal by construction.
 
     Raises
     ------
@@ -203,12 +203,11 @@ def delta_bound(psi, num_sensors: int) -> float:
         rows of largest norm, or of least norm (the least nonzero row when
         those are all zero), fail the range rule of
         :func:`~framesense.linalg.gram`, which then bounds every subset's
-        Gram matrix, and when a subset's MSE, which the shared walk takes,
-        passes float64 as in :func:`~framesense.linalg.mse`.
+        Gram matrix.
     """
     m = as_sensing_matrix(psi)
     _check_sensor_count("delta_bound", num_sensors, 1, m.n, m.shape)
-    _, _, lam_range = _walk_subsets(m, num_sensors, fp=False, spectrum=True)
+    _, _, lam_range = _walk_subsets(m, num_sensors, spread=True)
     return _spectrum_delta(m, num_sensors, lam_range)
 
 

@@ -502,7 +502,7 @@ def _audit_cell(cfg, matrix, family, trial, seed, l, algo) -> AuditRow:
     fp_greedy = frame_potential(matrix, selection.chosen)
     mse_greedy = mse(matrix, selection.chosen, 1.0)
     if _enumerable(matrix.n, l):
-        (_, fp_opt), (_, mse_opt), lam_range = _walk_subsets(matrix, l, fp=True, spectrum=True)
+        (_, fp_opt), (_, mse_opt), lam_range = _walk_subsets(matrix, l, fp=True, mse=True, spread=True)
         delta = _spectrum_delta(matrix, l, lam_range)
         status = "ok"
     else:

@@ -371,26 +371,28 @@ def _unit_mse(lam) -> float:
     return float((1.0 / lam).sum())
 
 
-def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
+def _walk_subsets(m: SensingMatrix, size: int, fp=False, mse=False, spread=False):
     """One pass over every size-``size`` row subset, in lexicographic order.
 
     Serves the exhaustive oracles and the spectrum-concentration search, so
     an audit cell enumerates its subsets once. Per subset it gathers the
-    rows once; when ``spectrum`` is set it forms ``block.T @ block`` and
-    takes one ``numpy.linalg.eigvalsh``, and when ``fp`` is set it sums the
-    squares of the smaller Gram form by :func:`frame_potential`'s rule,
+    rows once; when ``mse`` or ``spread`` is set it forms ``block.T @ block``
+    and takes one ``numpy.linalg.eigvalsh``, and when ``fp`` is set it sums
+    the squares of the smaller Gram form by :func:`frame_potential`'s rule,
     reusing that K x K Gram matrix when L > K. An FP-only walk does no eigen
-    work, and no walk forms an N x N array. Frame potentials, eigenvalues
-    and MSEs equal those of ``frame_potential(m, sub)``,
-    ``sym_eigenvalues(gram(m, sub))`` and ``mse(m, sub)`` bit for bit; the
-    checks those functions make on every call are replaced by one check per
-    walk. A LAPACK failure raises :class:`ConvergenceError`.
+    work, a walk without ``mse`` takes no MSE, and no walk forms an N x N
+    array. Frame potentials, eigenvalues and MSEs equal those of
+    ``frame_potential(m, sub)``, ``sym_eigenvalues(gram(m, sub))`` and
+    ``mse(m, sub)`` bit for bit; the checks those functions make on every
+    call are replaced by one check per walk. A LAPACK failure raises
+    :class:`ConvergenceError`.
 
     Returns ``(fp_best, mse_best, lam_range)``. ``fp_best`` and ``mse_best``
     are ``(subset, value)`` pairs of least frame potential and least
     unit-variance MSE, where a strict ``<`` keeps exact ties on the
-    lexicographically first subset. ``lam_range`` is ``(smallest, largest)``
-    eigenvalue over all subsets. Whatever was not asked for is None.
+    lexicographically first subset. ``lam_range``, asked for by
+    ``spread``, is ``(smallest, largest)`` eigenvalue over all subsets.
+    Whatever was not asked for is None.
 
     Raises
     ------
@@ -401,8 +403,8 @@ def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
         least norm (the least nonzero row when those are all zero), whose
         energy no subset with any falls below, fail the range rule
         (:func:`_check_range`) for a frame potential (``fp``) or else a
-        Gram matrix; or if a subset's MSE passes float64, as in
-        :func:`mse`.
+        Gram matrix; or, with ``mse``, if a subset's MSE passes float64, as
+        in :func:`mse`.
     """
     if not _enumerable(m.n, size):
         raise ValueError(f"C({m.n}, {size}) = {math.comb(m.n, size)} subsets exceeds the "
@@ -418,12 +420,14 @@ def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
     low, high = math.inf, -math.inf
     for sub in combinations(range(m.n), size):
         block = e.take(sub, axis=0)
-        if spectrum:
+        if mse or spread:
             g = block.T @ block
             lam = _eigen(g)[::-1]
+        if mse:
             val = _unit_mse(lam)
             if mse_best is None or val < mse_best[1]:
                 mse_best = sub, val
+        if spread:
             val = float(lam[-1])
             if val < low:
                 low = val
@@ -434,7 +438,7 @@ def _walk_subsets(m: SensingMatrix, size: int, fp: bool, spectrum: bool):
             val = _frame_potential(block, g)
             if fp_best is None or val < fp_best[1]:
                 fp_best = sub, val
-    return fp_best, mse_best, (low, high) if spectrum else None
+    return fp_best, mse_best, (low, high) if spread else None
 
 
 def least_squares(psi, sel, f) -> np.ndarray:

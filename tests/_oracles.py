@@ -157,7 +157,7 @@ def best_subset(psi, size, objective):
 
 
 def walk_reference(psi, size):
-    """What ``linalg._walk_subsets(m, size, fp=True, spectrum=True)`` returns.
+    """What ``linalg._walk_subsets(m, size, fp=True, mse=True, spread=True)`` returns.
 
     Subset by subset through the public API: FP from ``frame_potential``,
     MSE from ``mse``, eigenvalues from ``sym_eigenvalues(gram(...))``,

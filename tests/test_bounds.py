@@ -251,6 +251,15 @@ class TestDeltaBound:
         with pytest.raises(ValueError, match="overflow"):
             delta_bound(psi * 1e160, 4)
 
+    def test_takes_no_mse_of_the_subsets(self):
+        # spectrum {1e-307, 2e-317}: the MSE 1 / 2e-317 passes float64, but
+        # delta only reads the spectrum. Center (a + b) / 2, so both
+        # extremes lie (a - b) / 2 from it, about 5e-308
+        psi = np.diag([math.sqrt(1e-307), math.sqrt(2e-317)])
+        a, b = psi[0, 0] ** 2, psi[1, 1] ** 2
+        assert delta_bound(psi, 2) == pytest.approx((a - b) / 2, rel=1e-12)
+        assert delta_bound(psi, 2) == pytest.approx(5e-308, rel=1e-9)
+
 
 class TestSharmaInterval:
     def test_constant_values(self):

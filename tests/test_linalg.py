@@ -470,9 +470,10 @@ class TestWalkSubsets:
         # the first one wins; bernoulli and the duplicate rows tie exactly
         for size in (1, 2, 3, 5, 9):
             want = walk_reference(m, size)
-            assert _walk_subsets(m, size, fp=True, spectrum=True) == want
-            assert _walk_subsets(m, size, fp=True, spectrum=False) == (want[0], None, None)
-            assert _walk_subsets(m, size, fp=False, spectrum=True) == (None, *want[1:])
+            assert _walk_subsets(m, size, fp=True, mse=True, spread=True) == want
+            assert _walk_subsets(m, size, fp=True) == (want[0], None, None)
+            assert _walk_subsets(m, size, mse=True) == (None, want[1], None)
+            assert _walk_subsets(m, size, spread=True) == (None, None, want[2])
             (sub, fp), (_, unit_mse), _ = want
             assert fp == frame_potential(m, sub)
             assert (unit_mse == UNBOUNDED) == (size < m.k)
@@ -500,7 +501,7 @@ class TestWalkSubsets:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(ConvergenceError):
-            _walk_subsets(as_sensing_matrix(MB), 2, fp=False, spectrum=True)
+            _walk_subsets(as_sensing_matrix(MB), 2, spread=True)
 
 
 def _range_cases():

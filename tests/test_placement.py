@@ -338,6 +338,23 @@ class TestGreedyDet:
 
         assert det_with(236) > det_with(70)
         assert greedy_det(psi, 10).chosen[:2] == (0, 236)
+        # after 463 picks of +-1 rows, row 934 raises it 4e-13 more than row
+        # 556 (2e-11 relative), past the span, where a tie band sized by the
+        # spanning eigenbasis, not the current one, swallowed the gap
+        psi = generate(GeneratorSpec("bernoulli", 1000, 10, seed=0))
+        chosen = greedy_det(psi, 464).chosen
+        a = psi.entries.astype(int)
+        g = a[list(chosen[:463])].T @ a[list(chosen[:463])]
+        ridge = Fraction(default_ridge(psi))
+
+        def det_with(i):
+            return _det_and_inverse([
+                [ridge * (r == c) + int(g[r, c]) + int(a[i, r] * a[i, c]) for c in range(10)]
+                for r in range(10)
+            ])[0]
+
+        assert det_with(934) > det_with(556)
+        assert chosen[463] == 934
 
     def test_trace_holds_log_det_gains(self):
         for seed in range(10):
@@ -373,6 +390,18 @@ class TestGreedyMse:
             if math.isfinite(a) and math.isfinite(b):
                 diffs.append(a - b)
         assert np.mean(diffs) < 0
+
+    def test_trace_holds_error_traces(self):
+        # each entry is the trace of the ridged inverse Gram matrix after its
+        # pick, past the span too, where rank-one steps keep it
+        for family in ("gaussian", "stacked_scaled"):
+            psi = generate(GeneratorSpec(family, 40, 5, seed=1, scale=family_scale(family))).entries
+            ridge = default_ridge(psi)
+            sel = greedy_mse(psi, 30)
+            for size, value in enumerate(sel.objective_trace, start=1):
+                block = psi[list(sel.chosen[:size])]
+                want = np.trace(np.linalg.inv(block.T @ block + ridge * np.eye(5)))
+                assert value == pytest.approx(want, rel=1e-9), (family, size)
 
 
 class TestGreedyMi:
@@ -551,16 +580,45 @@ class TestBestInTies:
                 assert placer(psi, 5).chosen[0] == 0, seed
 
     @pytest.mark.parametrize("objective", ["det", "mse"])
-    def test_matches_exact_oracle_on_bernoulli(self, objective):
+    def test_matches_exact_oracle_on_bernoulli(self, objective, monkeypatch):
         # +-1 rows tie in many steps, also after the first; rational
-        # arithmetic decides every comparison exactly
+        # arithmetic decides every comparison exactly. Once the picks span
+        # K directions the steps are rank-one updates; at L = N - 2 most
+        # steps are, under exact ties (bernoulli, duplicate rows) and
+        # uneven norms (gaussian, stacked_scaled). A matrix of rank below K
+        # never spans, so every one of its steps takes an eigenbasis.
         placer = greedy_det if objective == "det" else greedy_mse
-        for n, k, l, seeds in ((12, 3, 10, range(10)), (40, 5, 8, range(4))):
-            for seed in seeds:
-                psi = generate(GeneratorSpec("bernoulli", n, k, seed=seed))
-                ridge = default_ridge(psi)
-                want = exact_best_in(psi.entries, l, objective, ridge)
-                assert list(placer(psi, l).chosen) == want, (n, seed)
+        eigen_steps = []
+        basis = placement._eigen_basis
+
+        def counted(g, shift):
+            eigen_steps.append(g.shape)
+            return basis(g, shift)
+
+        monkeypatch.setattr(placement, "_eigen_basis", counted)
+        cases = [(generate(GeneratorSpec("bernoulli", n, k, seed=seed)).entries, l, 0)
+                 for n, k, l, seeds in ((12, 3, 10, range(10)), (40, 5, 8, range(4)))
+                 for seed in seeds]
+        # (entries, L, least number of rank-one steps)
+        for family in ("bernoulli", "gaussian", "stacked_scaled"):
+            for seed in range(2):
+                for n, k in ((14, 3), (10, 2)):
+                    spec = GeneratorSpec(family, n, k, seed=seed, scale=family_scale(family))
+                    cases.append((generate(spec).entries, n - 2, 5))
+        for seed in (2, 3, 18, 20, 29):
+            psi, _, _ = duplicated_row_instance(seed)
+            cases.append((psi, psi.shape[0] - 2, 5))
+        low_rank = generate(GeneratorSpec("bernoulli", 12, 3, seed=0)).entries.copy()
+        low_rank[:, 2] = low_rank[:, 0]
+        cases.append((low_rank, 10, None))
+        for psi, l, rank_one in cases:
+            eigen_steps.clear()
+            want = exact_best_in(psi, l, objective, default_ridge(psi))
+            assert list(placer(psi, l).chosen) == want, psi.shape
+            if rank_one is None:
+                assert len(eigen_steps) == l
+            else:
+                assert l - len(eigen_steps) >= rank_one, psi.shape
 
     def test_mi_matches_exact_oracle_on_bernoulli(self):
         for seed in range(10):
