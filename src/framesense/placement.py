@@ -102,8 +102,12 @@ def _check_count(algorithm: str, num_sensors: int, shape) -> None:
 # eigenvalue of M^-1 (once the picks span, the largest q / |x|^2) over
 # 1 + max q, the error trace before the pick (mse), the best ratio (mi),
 # 1 (coherence).
-# It sits far above float64 rounding, so exact ties stay ties; a real gap
-# below it is treated as a tie.
+# Where the scale bounds the values' rounding from above, the band sits far
+# above it, so exact ties stay ties; a real gap below it is treated as a
+# tie. det's post-span scale is a lower bound on the largest eigenvalue of
+# M^-1, so there the band holds exact ties only while the rows' Rayleigh
+# quotients reach near that eigenvalue, and the downdates' rounding builds
+# up with the picks.
 _TIE_RTOL = 1e-12
 
 # framesense recomputes its scores from the surviving rows once the largest
@@ -501,18 +505,6 @@ def _eigen_best_in(algorithm, psi, num_sensors, score, minimize=False, degree=0)
     return replace(sel, objective_trace=tuple(trace.tolist()))
 
 
-def _eigen_step(g, shift, x):
-    """Eigenvalues of ``(shift I + G)^-1`` and coordinates of ``x`` in its eigenbasis.
-
-    G is a K x K Gram matrix. Returns ``inv`` and the squared coordinates
-    ``y2`` of the rows of ``x``, so each row's ``x^T (shift I + G)^-1 x`` is
-    its entry of ``y2 @ inv``. A LAPACK failure raises ConvergenceError.
-    """
-    inv, vec, _ = _eigen_basis(g, shift)
-    y2 = x @ vec
-    return inv, np.square(y2, out=y2)
-
-
 def _eigen_basis(g, shift):
     """Eigenvalues of ``(shift I + G)^-1``, its eigenvectors, and whether G passes the rank rule.
 
@@ -560,10 +552,12 @@ def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Se
     def objective(chosen, free):
         x = e.take(free, axis=0)
         b = e.take(chosen, axis=0)
-        inv, y2 = _eigen_step(b.T @ b, s, x)
-        numer = sigma2 + s * (y2 @ inv)
-        inv, y2 = _eigen_step(x.T @ x, s, x)
-        q = y2 @ inv
+        inv, vec, _ = _eigen_basis(b.T @ b, s)
+        z = x @ vec
+        numer = sigma2 + s * (np.square(z, out=z) @ inv)
+        inv, vec, _ = _eigen_basis(x.T @ x, s)
+        z = x @ vec
+        q = np.square(z, out=z) @ inv
         # q >= 1 only by rounding, on rows far larger than s
         with np.errstate(divide="ignore", invalid="ignore"):
             denom = (sigma2 + ridge * q) / (1.0 - q)

@@ -436,16 +436,17 @@ class TestGreedyMi:
         # rounding on rows far larger than sigma2 can bring a free row's q
         # to 1, where its variance given the other free rows is infinite
         k = 3
+        psi = random_instance(5, n=8, k=k)
+        least = float(np.einsum("ij,ij->i", psi, psi).min())
 
-        def saturated(g, shift, x):
-            y2 = np.zeros((len(x), k))
-            y2[:, 0] = 1.0
-            return np.ones(k), y2
+        def saturated(g, shift):
+            # every row's q = |x|^2 / least is 1 or more
+            return np.full(k, 1.0 / least), np.eye(k), True
 
-        monkeypatch.setattr(placement, "_eigen_step", saturated)
+        monkeypatch.setattr(placement, "_eigen_basis", saturated)
         with pytest.raises(ValueError, match="^conditional variance at location 0 is not "
                                              "positive and finite$"):
-            greedy_mi(random_instance(5, n=8, k=k), 4)
+            greedy_mi(psi, 4)
 
     def test_matches_naive_covariance_reference(self):
         for family in FAMILIES:
@@ -585,8 +586,9 @@ class TestBestInTies:
         # arithmetic decides every comparison exactly. Once the picks span
         # K directions the steps are rank-one updates; at L = N - 2 most
         # steps are, under exact ties (bernoulli, duplicate rows) and
-        # uneven norms (gaussian, stacked_scaled). A matrix of rank below K
-        # never spans, so every one of its steps takes an eigenbasis.
+        # uneven norms (gaussian, stacked_scaled), and on nearly
+        # rank-deficient matrices. A matrix of rank below K never spans, so
+        # every one of its steps takes an eigenbasis.
         placer = greedy_det if objective == "det" else greedy_mse
         eigen_steps = []
         basis = placement._eigen_basis
@@ -608,6 +610,14 @@ class TestBestInTies:
         for seed in (2, 3, 18, 20, 29):
             psi, _, _ = duplicated_row_instance(seed)
             cases.append((psi, psi.shape[0] - 2, 5))
+        # a column that nearly copies another: the Gram matrix passes the
+        # rank rule (smallest over largest eigenvalue 1.9e-9 and 1.7e-10,
+        # against 1e-10), so M^-1 is near as ill-conditioned as a spanning
+        # step allows
+        for noise in (1e-4, 3e-5):
+            near = generate(GeneratorSpec("bernoulli", 14, 3, seed=0)).entries.copy()
+            near[:, 2] = near[:, 0] + noise * np.random.default_rng(0).standard_normal(14)
+            cases.append((near, 12, 5))
         low_rank = generate(GeneratorSpec("bernoulli", 12, 3, seed=0)).entries.copy()
         low_rank[:, 2] = low_rank[:, 0]
         cases.append((low_rank, 10, None))

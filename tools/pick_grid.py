@@ -5,18 +5,19 @@ L = 20, and 100x30 at L = 40 and 60; seeds 0-3. Each matrix runs all six
 placers, framesense both on unit-norm rows and on the rows as given: 720
 placer cases, plus 120 unnormalized framesense runs. One line per case:
 
-    family n k l seed algorithm digest top
+    family n k l seed algorithm digest top last
 
 ``digest`` is the first 16 hex digits of the SHA-256 of the ``chosen``
-tuple's repr, and ``top`` the repr of the largest ``objective_trace`` value
-(``-`` for the random placer, which has none). Two builds pick the same
-rows on the grid when their outputs agree in every digest, so a diff of
-two outputs is a pick gate, and the ``top`` columns show how far traces
-moved. Set ``OPENBLAS_NUM_THREADS`` (or the BLAS's own variable) to run the
-grid at a given thread count.
+tuple's repr, and ``top`` and ``last`` the reprs of the largest and the
+last ``objective_trace`` value (``-`` for the random placer, which has
+none). Two builds pick the same rows on the grid when their outputs agree
+in every digest, so a diff of two outputs is a pick gate. The ``last``
+column shows how far the trace moved by the last pick, ``top`` how far at
+its largest value (the first pick, for det and mse). Set
+``OPENBLAS_NUM_THREADS`` (or the BLAS's own variable) to run the grid at a
+given thread count.
 
-Usage: python tools/pick_grid.py [--seeds S] [--largest-n N]
-    --seeds S       run seeds 0 .. S-1 (default 4)
+Usage: python tools/pick_grid.py [--largest-n N]
     --largest-n N   keep only the shapes with at most N rows (default 100)
 """
 
@@ -51,27 +52,27 @@ def _runs():
             yield "framesense_raw", PlacementOptions(algo, normalize_rows=False)
 
 
-def grid_lines(seeds: int = 4, largest_n: int = 100):
+def grid_lines(largest_n: int = 100):
     """One output line per case of the grid, in a fixed order."""
     for family in FAMILIES:
         for n, k, l in CASES:
             if n > largest_n:
                 continue
-            for seed in range(seeds):
+            for seed in range(4):
                 psi = generate(GeneratorSpec(family, n, k, seed=seed, scale=_SCALES.get(family)))
                 for label, opts in _runs():
                     sel = run_placement(psi, l, opts)
                     digest = hashlib.sha256(repr(sel.chosen).encode()).hexdigest()[:16]
-                    top = repr(max(sel.objective_trace)) if sel.objective_trace else "-"
-                    yield f"{family} {n} {k} {l} {seed} {label} {digest} {top}"
+                    trace = sel.objective_trace
+                    top, last = (repr(max(trace)), repr(trace[-1])) if trace else ("-", "-")
+                    yield f"{family} {n} {k} {l} {seed} {label} {digest} {top} {last}"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=4)
     parser.add_argument("--largest-n", type=int, default=100)
     args = parser.parse_args(argv)
-    for line in grid_lines(args.seeds, args.largest_n):
+    for line in grid_lines(args.largest_n):
         print(line)
     return 0
 
