@@ -431,6 +431,23 @@ class AuditRow:
 AUDIT_CSV_HEADER = _csv_header(AuditRow)
 
 
+def _pass_keys(record) -> dict:
+    """``{<quantity>_pass: field}`` for each ``<quantity>_within_<certificate>`` field of ``record``.
+
+    ``record`` is a dataclass. Two pass flags on one quantity would share a
+    count key, and one count would silently replace the other, so they
+    raise ValueError naming both fields.
+    """
+    flags = {}
+    for name in (f.name for f in fields(record)):
+        if "_within_" in name:
+            key = name.partition("_within_")[0] + "_pass"
+            if key in flags:
+                raise ValueError(f"pass flags {flags[key]} and {name} share the count key {key}")
+            flags[key] = name
+    return flags
+
+
 @dataclass
 class AuditTable:
     """Per-instance certificate checks plus a pass-rate summary."""
@@ -440,13 +457,12 @@ class AuditTable:
     def summary(self) -> dict:
         """Instance counts, one ``<quantity>_pass`` count per pass flag, and fp ratios.
 
-        Each ``<quantity>_within_<certificate>`` field of :class:`AuditRow`
-        is a pass flag, and its count of audited rows that pass is keyed
-        ``<quantity>_pass``, in field order.
+        Each pass flag of :class:`AuditRow` (:func:`_pass_keys`) is counted
+        over the audited rows that pass, in field order.
         """
         audited = [r for r in self.rows if r.status == "ok"]
-        passes = {flag.partition("_within_")[0] + "_pass": sum(getattr(r, flag) for r in audited)
-                  for flag in (f.name for f in fields(AuditRow)) if "_within_" in flag}
+        passes = {key: sum(getattr(r, flag) for r in audited)
+                  for key, flag in _pass_keys(AuditRow).items()}
         ratios = [r.fp_greedy / r.fp_opt for r in audited if r.fp_opt > 0]
         return {
             "instances": len(self.rows),

@@ -2,9 +2,10 @@
 
 Everything downstream (placement, bounds, experiment sweeps) is built on the
 quantities defined here: Gram matrices of selected rows, their eigenvalues,
-the frame potential, and the least squares reconstruction together with its
-mean square error. All arithmetic is float64 and sized for desk-scale
-problems, meaning hundreds of candidate rows and tens of columns.
+the frame potential, and the mean square error of least squares
+reconstruction from the selection, in closed form. All arithmetic is
+float64 and sized for desk-scale problems, meaning hundreds of candidate
+rows and tens of columns.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "coherence",
     "frame_potential",
     "gram",
-    "least_squares",
     "mse",
     "row_normalize",
     "sym_eigenvalues",
@@ -54,9 +54,9 @@ class ConvergenceError(RuntimeError):
 class SensingMatrix:
     """An N x K model matrix whose rows are candidate sensing locations.
 
-    Entries are copied into an immutable float64 array on construction, so a
-    single instance can be shared freely across threads. Row norms are
-    computed once and cached. Rows are indexed from 0.
+    Entries are copied into an immutable float64 array on construction, and
+    the instance holds no other state, so it can be shared freely across
+    threads. Rows are indexed from 0.
 
     Parameters
     ----------
@@ -75,7 +75,6 @@ class SensingMatrix:
             raise ValueError("sensing matrix entries must all be finite")
         arr.setflags(write=False)
         self._entries = arr
-        self._row_norms = None
 
     @property
     def entries(self) -> np.ndarray:
@@ -96,12 +95,8 @@ class SensingMatrix:
 
     @property
     def row_norms(self) -> np.ndarray:
-        """Euclidean norm of every row, cached after the first call."""
-        if self._row_norms is None:
-            norms = np.linalg.norm(self._entries, axis=1)
-            norms.setflags(write=False)
-            self._row_norms = norms
-        return self._row_norms
+        """Euclidean norm of every row, computed on each call."""
+        return np.linalg.norm(self._entries, axis=1)
 
     def __repr__(self):
         return f"SensingMatrix(n={self.n}, k={self.k})"
@@ -218,8 +213,8 @@ def _selected(psi, sel, fp: bool = False) -> np.ndarray:
     """The rows of ``psi`` that ``sel`` picks, every row for None, once they pass the range rule.
 
     The rule (:func:`_check_range`) is checked for their Gram matrix, or
-    with ``fp`` for their frame potential. Serves :func:`gram`,
-    :func:`frame_potential` and :func:`least_squares`.
+    with ``fp`` for their frame potential. Serves :func:`gram` and
+    :func:`frame_potential`.
     """
     m = as_sensing_matrix(psi)
     block = m.entries if sel is None else m.entries[_selection_indices(sel, m.n)]
@@ -439,37 +434,6 @@ def _walk_subsets(m: SensingMatrix, size: int, fp=False, mse=False, spread=False
             if fp_best is None or val < fp_best[1]:
                 fp_best = sub, val
     return fp_best, mse_best, (low, high) if spread else None
-
-
-def least_squares(psi, sel, f) -> np.ndarray:
-    """Least squares parameter estimate from measurements on selected rows.
-
-    Solves the selected block directly with ``numpy.linalg.lstsq`` (an SVD),
-    so accuracy follows the block's condition number rather than its
-    square, as forming the normal equations would. The measurement vector
-    ``f`` is ordered like ``sel``; ``sel=None`` uses every row.
-
-    Raises
-    ------
-    ValueError
-        If the selected rows fail the range rule of :func:`gram`, the
-        selection's Gram matrix is rank deficient (an eigenvalue, i.e. a
-        squared singular value of the block, below ``RANK_RTOL`` times the
-        largest), or the measurement length does not match the selection
-        size.
-    """
-    m = as_sensing_matrix(psi)
-    block = _selected(m, sel)
-    rhs = np.asarray(f, dtype=np.float64)
-    if rhs.shape != (len(block),):
-        raise ValueError(f"measurement vector has shape {rhs.shape}, expected ({len(block)},)")
-    if not np.isfinite(rhs).all():
-        raise ValueError("measurements must all be finite")
-    solution, _, _, sv = np.linalg.lstsq(block, rhs, rcond=None)
-    lam = sv**2
-    if len(block) < m.k or _rank_lost(lam):
-        raise ValueError("selection is rank deficient; parameters are not identifiable")
-    return solution
 
 
 def row_normalize(psi) -> SensingMatrix:

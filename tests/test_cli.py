@@ -139,10 +139,14 @@ class TestPlace:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         argv = ["place", "--gen", "gaussian", "--n", "8", "--k", "3", "--sensors", "4",
                 "--algo", "det"]
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: eigenvalue computation did not converge")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: eigenvalue computation did not converge")
+        assert err.count("\n") == 1
 
     def test_matrix_from_stdin(self, tmp_path):
         path = tmp_path / "m.csv"

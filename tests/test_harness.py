@@ -34,7 +34,7 @@ from framesense import (
     sweep_mse,
     sweep_timing,
 )
-from framesense.harness import AggRow, AuditRow, RawRow, _trial_seed
+from framesense.harness import AggRow, AuditRow, RawRow, _pass_keys, _trial_seed
 from framesense.matio import csv_row
 
 
@@ -640,6 +640,16 @@ class TestOracleAudit:
         table = oracle_audit(cfg)
         assert table.summary()["fp_pass"] == 19
         assert [row.trial for row in table.rows if not row.fp_within_gamma] == [18]
+
+    def test_pass_flags_on_one_quantity_are_refused(self):
+        # a second flag on fp would share the fp_pass count and replace it
+        assert _pass_keys(AuditRow) == {"fp_pass": "fp_within_gamma",
+                                        "mse_pass": "mse_within_bounds"}
+        row = dataclasses.make_dataclass("Row", ["fp_within_gamma", "mse_within_bounds",
+                                                 "fp_within_gamma_pair"])
+        msg = "^pass flags fp_within_gamma and fp_within_gamma_pair share the count key fp_pass$"
+        with pytest.raises(ValueError, match=msg):
+            _pass_keys(row)
 
     def test_oversized_instances_are_skipped(self):
         cfg = small_cfg(n=40, k=3, l_values=(20,), trials=1)

@@ -1,5 +1,6 @@
 """tools/pick_grid.py, the placer pick grid that pick gates diff."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,20 @@ def test_reduced_grid_prints_the_same_bytes_twice():
         assert (n, k, l) in (("12", "3", "6"), ("20", "4", "10")) and int(seed) in range(4)
         assert len(digest) == 16 and int(digest, 16) >= 0
         assert (top == "-") == (last == "-") == (label == "random")
+
+
+def test_full_grid_prints_the_same_bytes_at_1_and_2_blas_threads():
+    # every placer on every grid shape (K <= 30); both children run at once
+    children = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        children.append(subprocess.Popen([sys.executable, str(TOOL)], env=env,
+                                         stdout=subprocess.PIPE))
+    try:
+        one, two = (child.communicate(timeout=120)[0] for child in children)
+    finally:
+        for child in children:
+            child.kill()
+    assert [child.returncode for child in children] == [0, 0]
+    assert len(one.splitlines()) == 840
+    assert one == two

@@ -13,10 +13,13 @@ from framesense import (
     ALGORITHMS,
     FAMILIES,
     ORACLE_SUBSET_LIMIT,
+    ExperimentConfig,
     GeneratorSpec,
     PlacementOptions,
     Selection,
     as_sensing_matrix,
+    compute_bounds_report,
+    delta_bound,
     exhaustive_oracle,
     frame_potential,
     framesense,
@@ -26,6 +29,8 @@ from framesense import (
     greedy_mi,
     greedy_mse,
     mse,
+    mse_envelope,
+    oracle_audit,
     random_placement,
     row_normalize,
     run_placement,
@@ -403,6 +408,22 @@ class TestGreedyMse:
                 want = np.trace(np.linalg.inv(block.T @ block + ridge * np.eye(5)))
                 assert value == pytest.approx(want, rel=1e-9), (family, size)
 
+    @pytest.mark.parametrize("gap", [
+        5e-6,
+        # before the picks span K directions the tie band scales with the
+        # error trace, about K / ridge, so squared norms within about
+        # K x 1e-6 relative read as tied and the first pick goes to row 0
+        pytest.param(2e-6, marks=pytest.mark.xfail(
+            strict=True, reason="mse's first pick ties squared norms within about K x 1e-6")),
+    ])
+    def test_first_pick_tells_near_equal_norms_apart(self, gap):
+        # e1, a copy of it whose squared norm is longer by gap, then e2 and e3
+        psi = np.array([[1.0, 0.0, 0.0], [math.sqrt(1.0 + gap), 0.0, 0.0],
+                        [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        want = tuple(exact_best_in(psi, 3, "mse", default_ridge(psi)))
+        assert want == (1, 2, 3)
+        assert (greedy_det(psi, 3).chosen, greedy_mse(psi, 3).chosen) == (want, want)
+
 
 class TestGreedyMi:
     def test_duplicate_gain_is_minimal(self):
@@ -728,14 +749,15 @@ class TestSingleColumn:
 
 
 class TestLapackFailure:
-    """An eigen failure in the shared eigenbasis step reaches callers as ConvergenceError."""
+    """A LAPACK eigen failure reaches every caller as ConvergenceError."""
 
     @pytest.fixture(autouse=True)
-    def failing_eigh(self, monkeypatch):
+    def failing_eigen(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
 
     @pytest.mark.parametrize("placer", [greedy_det, greedy_mse])
     def test_det_and_mse_raise_convergence_error(self, placer):
@@ -746,6 +768,21 @@ class TestLapackFailure:
         # mi raises the same ConvergenceError as det and mse
         with pytest.raises(ConvergenceError, match="did not converge"):
             greedy_mi(random_instance(5, n=8, k=3), 4)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda psi: mse(psi, (0, 1, 2, 3)), id="mse"),
+        pytest.param(lambda psi: mse_envelope(psi, (0, 1, 2, 3), 1.0, 2.0), id="mse_envelope"),
+        pytest.param(lambda psi: compute_bounds_report(psi, 4, (0, 1, 2, 3)),
+                     id="compute_bounds_report"),
+        pytest.param(lambda psi: delta_bound(psi, 4), id="delta_bound"),
+        pytest.param(lambda psi: exhaustive_oracle(psi, 4, "mse"), id="exhaustive_oracle"),
+        pytest.param(lambda psi: oracle_audit(ExperimentConfig(
+            family="gaussian", n=8, k=3, l_values=(4,), trials=1, master_seed=0)),
+            id="oracle_audit"),
+    ])
+    def test_evaluation_and_certificates_raise_convergence_error(self, call):
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            call(random_instance(5, n=8, k=3))
 
 
 class TestRandomPlacement:
