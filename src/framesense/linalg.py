@@ -23,7 +23,6 @@ __all__ = [
     "SensingMatrix",
     "UNBOUNDED",
     "as_sensing_matrix",
-    "coherence",
     "frame_potential",
     "gram",
     "mse",
@@ -449,32 +448,16 @@ def row_normalize(psi) -> SensingMatrix:
     return SensingMatrix(m.entries / _unit_row_norms(m)[:, None])
 
 
-def _unit_row_norms(m: SensingMatrix, rows=slice(None)) -> np.ndarray:
-    """Row norms of ``m``, once each of ``rows`` can be scaled to unit norm.
+def _unit_row_norms(m: SensingMatrix) -> np.ndarray:
+    """Row norms of ``m``, once every row can be scaled to unit norm.
 
-    ValueError names the first of ``rows`` whose norm is at or below 1e-12
-    or overflows float64.
+    ValueError names the first row whose norm is at or below 1e-12 or
+    overflows float64.
     """
     with np.errstate(over="ignore"):
         norms = m.row_norms
-    picked = np.arange(m.n)[rows]
-    bad = picked[~((norms[picked] > _MIN_ROW_NORM) & (norms[picked] < math.inf))]
+    bad = np.flatnonzero(~((norms > _MIN_ROW_NORM) & (norms < math.inf)))
     if bad.size:
         why = "too small" if norms[bad[0]] <= _MIN_ROW_NORM else "too large"
         raise ValueError(f"row {bad[0]} has norm {norms[bad[0]]:.3e}, {why} to normalize")
     return norms
-
-
-def coherence(psi, i: int, j: int) -> float:
-    """Normalized absolute inner product of rows i and j, clipped to [0, 1].
-
-    Rows i and j follow the rule of :func:`row_normalize`: a norm at or
-    below 1e-12, or one that overflows float64, raises ValueError.
-    """
-    m = as_sensing_matrix(psi)
-    for name, idx in (("i", i), ("j", j)):
-        if not 0 <= _integer(name, idx) < m.n:
-            raise IndexError(f"row index {idx} out of range for {m.n} rows")
-    norms = _unit_row_norms(m, [i, j])
-    value = abs(float(m.entries[i] @ m.entries[j])) / (float(norms[i]) * float(norms[j]))
-    return min(value, 1.0)

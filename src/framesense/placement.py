@@ -22,13 +22,17 @@ free rows, one ``b.T @ b`` Gram product of the chosen block, one ``eigh``
 (two for mutual information), one product of the free rows with its
 eigenvectors, and a score over two N-length arrays; at K = 30 the ``eigh``
 is most of it. The determinant and error-trace greedies take such steps
-only until their picks span all K directions; from then on each step
-updates the inverse Gram matrix applied to every row by Sherman-Morrison,
-O(N K), the textbook cost of these greedies. The picks go into one
-preallocated index array. The coherence greedy finds its start row with the same pair
-scan as the main algorithm's first pair, then updates each row's largest
-coherence against the chosen set from the newest pick alone, O(N K) per
-pick and O(N K) memory. No greedy placer forms an N x N array.
+only from their K-th pick until their picks span all K directions. Before
+that, with r < K picks, a step takes the ``eigh`` of their r x r Gram form
+instead and scores every row from its coordinates in the picks' span and
+its residual, O(N K r) (the first pick takes none). From the span on each
+step updates the inverse Gram matrix applied to every row by
+Sherman-Morrison, O(N K), the textbook cost of these greedies. The picks
+go into one preallocated index array. The coherence greedy finds its start
+row with the same pair scan as the main algorithm's first pair, then
+updates each row's largest coherence against the chosen set from the
+newest pick alone, O(N K) per pick and O(N K) memory. No greedy placer
+forms an N x N array.
 
 Every scan follows one tie rule: values within a rounding bound of the best
 count as tied, and the lowest row index among them wins. The main
@@ -235,37 +239,36 @@ def framesense(psi, num_sensors: int, opts: PlacementOptions | None = None) -> S
     # the range rule keeps in float64
     diag2 = _check_range(np.einsum("ij,ij->i", w, w), fp=True) ** 2
 
-    first, second = _most_parallel_pair(w)
-    eliminated = [first, second]
+    pair = _most_parallel_pair(w)
     # diag2 on remaining rows, -inf on eliminated ones, so 2 * score + live
     # is the gain of every remaining row and never selects a gone one.
     live = diag2.copy()
-    trace = []
-    for r in eliminated:
-        # the pair's gains, each against the rows left after its elimination
-        live[r] = -np.inf
-        cross = (w @ w[r]) ** 2
-        trace.append(float(2.0 * cross[live > -np.inf].sum() + diag2[r]))
     score, bound = _scores(w, live, diag2)
     fresh = None
 
+    eliminated = []
+    trace = []
     gains = np.empty(n)
     cross = np.empty(n)
     target = n - num_sensors
     while len(eliminated) < target:
         np.multiply(score, 2.0, out=gains)
         gains += live
-        r = int(gains.argmax())
-        top = float(gains[r])
-        err = float(bound.max())
-        if fresh is None:
-            fresh = (top, err)
-        elif top * fresh[1] < _RESCORE_RATIO * fresh[0] * err:
-            # the scores carry rounding from rows that are gone; start over
-            score, bound = _scores(w, live, diag2)
-            fresh = None
-            continue
-        r = _first_best(gains, err, r)
+        if len(eliminated) < 2:
+            # the first move eliminates the pair, each row with its gain
+            r = pair[len(eliminated)]
+        else:
+            r = int(gains.argmax())
+            top = float(gains[r])
+            err = float(bound.max())
+            if fresh is None:
+                fresh = (top, err)
+            elif top * fresh[1] < _RESCORE_RATIO * fresh[0] * err:
+                # the scores carry rounding from rows that are gone; start over
+                score, bound = _scores(w, live, diag2)
+                fresh = None
+                continue
+            r = _first_best(gains, err, r)
         eliminated.append(r)
         trace.append(float(gains[r]))
         live[r] = -np.inf
@@ -375,9 +378,10 @@ def greedy_det(psi, num_sensors: int) -> Selection:
 
     Adding row x to the ridged Gram matrix M raises its log determinant by
     ``log(1 + x^T M^-1 x)`` (matrix determinant lemma), scored for every
-    candidate at once: in one eigenbasis of M per pick until the picks span
-    all K directions, then from M^-1 kept up to date by rank-one steps of
-    O(N K) (see :func:`_eigen_best_in`). ``objective_trace`` holds the gain
+    candidate at once: before K picks in the eigenbasis of their r x r Gram
+    form, then in one eigenbasis of M per pick until the picks span all K
+    directions, then from M^-1 kept up to date by rank-one steps of O(N K)
+    (see :func:`_eigen_best_in`). ``objective_trace`` holds the gain
     of each pick; ``K * log(ridge)`` plus their sum is the log determinant
     of the final ridged Gram matrix. The ridge is 1e-6 times the mean
     squared row norm; a matrix where that overflows float64, or an all-zero
@@ -397,10 +401,11 @@ def greedy_mse(psi, num_sensors: int) -> Selection:
 
     Adding row x to the ridged Gram matrix M lowers the trace of M^-1 by
     ``|M^-1 x|^2 / (1 + x^T M^-1 x)`` (Sherman-Morrison). Until the picks
-    span all K directions, one eigenbasis of M per pick scores every
-    candidate, and in it the ridge, which dominates the trace until then,
+    span all K directions, one eigenbasis per pick scores every candidate,
+    that of the picks' r x r Gram form before K picks and that of M from
+    then on, and in it the ridge, which dominates the trace until then,
     weighs every candidate alike instead of rounding differently for each;
-    from then on M^-1 is kept up to date by rank-one steps of O(N K) (see
+    from the span on M^-1 is kept up to date by rank-one steps of O(N K) (see
     :func:`_eigen_best_in`). The ridge is that of :func:`greedy_det`; it
     scales with the rows, so the picks do not depend on the scale of the
     matrix. A LAPACK failure raises ConvergenceError.
@@ -426,10 +431,17 @@ def _eigen_best_in(algorithm, psi, num_sensors, score, minimize=False, degree=0)
     reads them: ``gx2`` returns the free rows' |M^-1 x|^2 and ``inv_max``
     the largest eigenvalue of M^-1, or after the span a lower bound on it.
 
-    Until the chosen rows' Gram matrix passes the package's rank rule, which
-    takes at least K picks and never happens on a matrix of rank below K,
-    each step takes one ``eigh`` of it (:func:`_eigen_basis`) and scores
-    in that eigenbasis, O(N K^2). The step whose ``eigh`` first passes the
+    A step with r < K picks, whose K x K Gram matrix cannot pass the
+    package's rank rule, scores from the ``eigh`` of their r x r Gram form
+    (:func:`_row_form`), O(N K r); the first pick takes no ``eigh``. On
+    ``tools/pick_grid.py`` and on degenerate inputs these steps pick the
+    rows a K x K eigenbasis picks, and their values differ from its values
+    by at most 1.1e-15 relative before the K-th pick and 4e-10 at it,
+    where mse's trace cancels terms of size K / ridge.
+    From K picks until the chosen rows' Gram matrix passes the rule, which
+    never happens on a matrix of rank below K, each step takes one
+    ``eigh`` of it (:func:`_eigen_basis`) and scores in that eigenbasis,
+    O(N K^2). The step whose ``eigh`` first passes the
     rule also forms Y = E M^-1 and q for every row E_i. Every later step
     downdates them by Sherman-Morrison for the newest pick p, in O(N K):
     with y = Y_p, a = 1 / (1 + q_p) and c = E y, Y -= a c y^T,
@@ -464,6 +476,8 @@ def _eigen_best_in(algorithm, psi, num_sensors, score, minimize=False, degree=0)
         nonlocal y, q, total
         if y is None:
             b = e.take(chosen, axis=0)
+            if len(chosen) < m.k:
+                return score(*_row_form(b, e.take(free, axis=0), shift), norms2.take(free))
             inv, vec, spans = _eigen_basis(b.T @ b, shift)
             if not spans:
                 y2 = e.take(free, axis=0) @ vec
@@ -518,6 +532,43 @@ def _eigen_basis(g, shift):
     if not spans:
         lam[lam < RANK_RTOL * lam[-1]] = 0.0
     return 1.0 / (shift + lam), vec, spans
+
+
+def _row_form(b, x, shift):
+    """Scores of the rows ``x`` against r < K chosen rows ``b``, from their r x r Gram form.
+
+    With M = shift I + B^T B, returns the arguments ``q, total, gx2,
+    inv_max`` of a det or mse score (see :func:`_eigen_best_in`). The
+    eigenvalues mu of B B^T that pass the rank rule, with eigenvectors U,
+    are those of B^T B in the directions V = B^T U / sqrt(mu), and every
+    other direction of M^-1 weighs 1 / shift. So with z = x V and the
+    residual x - z V^T, q = sum z^2 / (shift + mu) + |x - z V^T|^2 / shift
+    and |M^-1 x|^2 = sum z^2 / (shift + mu)^2 + |x - z V^T|^2 / shift^2.
+    The residual is formed as a vector: |x|^2 - |z|^2 cancels for rows in
+    the span of B. One ``eigh`` of order r, none when r = 0. A LAPACK
+    failure raises ConvergenceError.
+    """
+    r, k = b.shape
+    if r:
+        mu, u = _eigen(b @ b.T, vectors=True)
+        # mu ascends, so the rule keeps a tail of it, and none when mu <= 0
+        low = int(np.searchsorted(mu, RANK_RTOL * mu[-1])) if mu[-1] > 0.0 else r
+        mu = mu[low:]
+        vec = b.T @ u[:, low:]
+        vec /= np.sqrt(mu)
+    else:
+        mu, vec = np.empty(0), np.empty((k, 0))
+    inv = 1.0 / (shift + mu)
+    # 1 / shift, the largest eigenvalue of M^-1, as the K x K route reads it
+    top = 1.0 / shift
+    z = x @ vec
+    res = z @ vec.T
+    np.subtract(x, res, out=res)
+    res2 = np.einsum("ij,ij->i", res, res)
+    np.square(z, out=z)
+    q = z @ inv + res2 * top
+    total = float(inv.sum()) + (k - mu.size) * top
+    return q, total, lambda: z @ (inv * inv) + res2 * (top * top), lambda: top
 
 
 def greedy_mi(psi, num_sensors: int, opts: PlacementOptions | None = None) -> Selection:

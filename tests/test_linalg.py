@@ -17,7 +17,6 @@ from framesense import (
     SensingMatrix,
     UNBOUNDED,
     as_sensing_matrix,
-    coherence,
     compute_bounds_report,
     delta_bound,
     exhaustive_oracle,
@@ -395,40 +394,6 @@ class TestRowNormalize:
     def test_zero_row_names_index(self):
         with pytest.raises(ValueError, match="row 0"):
             row_normalize([[0.0, 0.0], [1.0, 0.0]])
-
-
-class TestCoherence:
-    def test_analytic_cases(self):
-        psi = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]]
-        assert coherence(psi, 0, 1) == 0.0
-        assert coherence(psi, 0, 3) == 1.0
-        assert coherence(psi, 0, 2) == pytest.approx(1.0 / math.sqrt(2))
-
-    def test_clipped_to_one(self):
-        # rounding in norm products can push the raw ratio past 1
-        psi = [[0.1, 0.1, 0.1], [0.3, 0.3, 0.3]]
-        assert coherence(psi, 0, 1) <= 1.0
-
-    def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
-            coherence([[0.0, 0.0], [1.0, 0.0]], 0, 1)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            coherence(np.eye(2), 0, 2)
-
-    def test_row_normalize_rule(self):
-        # scaling row 2 keeps its direction, but its norm overflows float64
-        # and would read as coherence 0 instead of 0.294
-        psi = generate(GeneratorSpec("gaussian", 8, 3, seed=0)).entries.copy()
-        psi[2] *= 1e200
-        for i, j in ((2, 3), (3, 2)):
-            with pytest.raises(ValueError, match="^row 2 has norm inf, too large to normalize$"):
-                coherence(psi, i, j)
-        with pytest.raises(ValueError, match="^row 0 has norm 0.000e[+]00, too small to normalize$"):
-            coherence([[0.0, 0.0], [1.0, 0.0]], 1, 0)
-        # only rows i and j are checked
-        assert coherence(psi, 0, 3) == coherence(psi[[0, 3]], 0, 1)
 
 
 def _walk_grid():

@@ -2,8 +2,10 @@
 
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,30 @@ def test_every_exporter_name_is_a_package_name():
     assert framesense.__all__ == sorted(exported)
     assert len(set(exported)) == len(exported)
     assert set(framesense._SUBMODULES) == {m.__name__.rpartition(".")[2] for m in SUBMODULES}
+
+
+def test_readme_module_table_lists_exactly_the_public_names():
+    # the "public names" column holds backticked names and nothing else; a
+    # name may carry its signature, as in `mse(psi, sel, sigma2=1.0)`
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## What is in the box\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not cells[0].startswith("`framesense."):
+            continue
+        assert re.sub(r"`[^`]*`", "", cells[1]).replace(",", "").strip() in ("", "—"), line
+        names = [re.match(r"\w+", span).group() for span in re.findall(r"`([^`]*)`", cells[1])]
+        listed[cells[0].strip("`").partition(".")[2]] = names
+    assert set(framesense._EXPORTERS) <= set(listed) <= set(framesense._SUBMODULES)
+    for home, names in listed.items():
+        module = importlib.import_module(f"framesense.{home}")
+        want = module.__all__ if home in framesense._EXPORTERS else []
+        assert sorted(names) == sorted(want), (
+            f"{home}: table lacks {sorted(set(want) - set(names))}, "
+            f"lists {sorted(set(names) - set(want))} that is not public"
+        )
+    assert sorted(n for names in listed.values() for n in names) == framesense.__all__
 
 
 # Runs in a fresh interpreter: looks up the names given on the command line

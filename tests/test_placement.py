@@ -37,7 +37,7 @@ from framesense import (
 )
 from framesense import placement
 from framesense.linalg import ConvergenceError
-from framesense.placement import _PAIR_BLOCK_ENTRIES, _PLACERS, _ridge
+from framesense.placement import _PAIR_BLOCK_ENTRIES, _PLACERS, _TIE_RTOL, _ridge
 
 from _oracles import (
     _det_and_inverse,
@@ -608,17 +608,18 @@ class TestBestInTies:
         # K directions the steps are rank-one updates; at L = N - 2 most
         # steps are, under exact ties (bernoulli, duplicate rows) and
         # uneven norms (gaussian, stacked_scaled), and on nearly
-        # rank-deficient matrices. A matrix of rank below K never spans, so
-        # every one of its steps takes an eigenbasis.
+        # rank-deficient matrices. Before K picks a step takes the eigenbasis
+        # of the picks' r x r Gram form, the first pick none; a matrix of
+        # rank below K never spans, so every later step takes a K x K one.
         placer = greedy_det if objective == "det" else greedy_mse
-        eigen_steps = []
-        basis = placement._eigen_basis
+        orders = []
+        eigen = placement._eigen
 
-        def counted(g, shift):
-            eigen_steps.append(g.shape)
-            return basis(g, shift)
+        def counted(a, vectors=False):
+            orders.append(a.shape[0])
+            return eigen(a, vectors)
 
-        monkeypatch.setattr(placement, "_eigen_basis", counted)
+        monkeypatch.setattr(placement, "_eigen", counted)
         cases = [(generate(GeneratorSpec("bernoulli", n, k, seed=seed)).entries, l, 0)
                  for n, k, l, seeds in ((12, 3, 10, range(10)), (40, 5, 8, range(4)))
                  for seed in seeds]
@@ -643,13 +644,64 @@ class TestBestInTies:
         low_rank[:, 2] = low_rank[:, 0]
         cases.append((low_rank, 10, None))
         for psi, l, rank_one in cases:
-            eigen_steps.clear()
+            orders.clear()
             want = exact_best_in(psi, l, objective, default_ridge(psi))
             assert list(placer(psi, l).chosen) == want, psi.shape
+            # step r takes an eigen call of order r while r < K, then of order K
+            k = psi.shape[1]
+            assert orders[: k - 1] == list(range(1, k)), psi.shape
+            assert orders[k - 1:] == [k] * (len(orders) - k + 1), psi.shape
             if rank_one is None:
-                assert len(eigen_steps) == l
+                assert len(orders) == l - 1
             else:
-                assert l - len(eigen_steps) >= rank_one, psi.shape
+                assert l - 1 - len(orders) >= rank_one, psi.shape
+
+    def test_row_form_scores_within_the_tie_band(self):
+        # before K picks, det and mse score in the r x r Gram form of the
+        # picks; its q, trace and |M^-1 x|^2 must give the values the K x K
+        # eigenbasis gives, to within the band that decides ties. On rows in
+        # the span of the picks (copies, rank loss) a residual taken as
+        # |x|^2 - |z|^2 cancels and misses that band
+        rng = np.random.default_rng(0)
+        near = generate(GeneratorSpec("bernoulli", 14, 3, seed=0)).entries.copy()
+        near[:, 2] = near[:, 0] + 3e-5 * rng.standard_normal(14)
+        low_rank = generate(GeneratorSpec("gaussian", 40, 8, seed=1)).entries.copy()
+        low_rank[:, 6:] = low_rank[:, :1]
+        nearly = generate(GeneratorSpec("gaussian", 40, 8, seed=2)).entries.copy()
+        nearly[:, 7] = nearly[:, 0] + 3e-5 * rng.standard_normal(40)
+        dup = generate(GeneratorSpec("gaussian", 30, 6, seed=3)).entries
+        inputs = [
+            generate(GeneratorSpec("gaussian", 40, 8, seed=0)).entries,
+            generate(GeneratorSpec("gaussian", 100, 30, seed=0)).entries,
+            generate(GeneratorSpec("bernoulli", 40, 8, seed=0)).entries,
+            generate(GeneratorSpec("bernoulli", 100, 30, seed=0)).entries,
+            # the first six rows repeat three, and copies of them stay free
+            np.vstack([dup[:3], dup[:3], dup[3:], dup[:6]]),
+            duplicated_row_instance(2)[0],
+            near, low_rank, nearly,
+        ]
+        for psi in inputs:
+            n, k = psi.shape
+            shift = default_ridge(psi)
+            norms2 = np.einsum("ij,ij->i", psi, psi)
+            runs = (greedy_det(psi, k).chosen, greedy_mse(psi, k).chosen)
+            for chosen in (run[:r] for run in runs for r in range(1, k)):
+                free = np.setdiff1d(np.arange(n), chosen)
+                b, x = psi[list(chosen)], psi[free]
+                inv, vec, spans = placement._eigen_basis(b.T @ b, shift)
+                assert not spans
+                y2 = np.square(x @ vec)
+                q, total, gx2, inv_max = y2 @ inv, float(inv.sum()), y2 @ (inv * inv), inv.max()
+                q_r, total_r, gx2_r, inv_max_r = placement._row_form(b, x, shift)
+                assert inv_max_r() == inv_max
+                # det compares log(1 + q) at its scale, mse the error trace
+                # after the pick at the trace before it
+                det_band = _TIE_RTOL * norms2[free].max() * inv_max / (1.0 + q.max())
+                err = np.abs(np.log1p(q_r) - np.log1p(q)).max()
+                assert err <= det_band, (psi.shape, chosen, err / det_band)
+                assert abs(total_r - total) <= _TIE_RTOL * total
+                err = np.abs((total_r - gx2_r() / (1.0 + q_r)) - (total - gx2 / (1.0 + q))).max()
+                assert err <= _TIE_RTOL * total, (psi.shape, chosen, err / (_TIE_RTOL * total))
 
     def test_mi_matches_exact_oracle_on_bernoulli(self):
         for seed in range(10):

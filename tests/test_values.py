@@ -33,7 +33,6 @@ from framesense import (
     random_placement,
     untf_reference,
 )
-from framesense.linalg import coherence
 from framesense.seeding import derive_seed, philox_generator, stream_key
 
 PSI = generate(GeneratorSpec("gaussian", 8, 3, seed=0))
@@ -63,8 +62,6 @@ CALLERS = [
     ("delta_bound", "delta_bound sensor count", "count", lambda v: delta_bound(PSI, v)),
     ("untf_reference.num_sensors", "num_sensors", "count", lambda v: untf_reference(v, 3)),
     ("untf_reference.k", "k", "count", lambda v: untf_reference(4, v)),
-    ("coherence.i", "i", "count", lambda v: coherence(PSI, v, 2)),
-    ("coherence.j", "j", "count", lambda v: coherence(PSI, 1, v)),
     ("mse.sigma2", "sigma2", "real", lambda v: mse(PSI, [0, 1, 2, 3], sigma2=v)),
     ("mse_envelope.l_min", "l_min", "real", lambda v: mse_envelope(PSI, [0, 1, 2, 3], v, 2.0)),
     ("mse_envelope.l_max", "l_max", "real", lambda v: mse_envelope(PSI, [0, 1, 2, 3], 1.0, v)),
